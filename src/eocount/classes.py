@@ -23,7 +23,11 @@ from .signatures import (
     wt,
 )
 
-DEFAULT_ARITY_BUDGET = 32
+# New _d1_memo entries that one top-level in_d1/in_d0 call may add: the
+# recursion does one pin-and-scan per entry, so this bounds its work whatever
+# the arity (a kernel of arity 192 adds 2 entries, a tensor of five basic
+# kernels of arity 4 about 100).
+MEMO_BUDGET = 1 << 13
 
 
 class KernelKind(enum.Enum):
@@ -60,19 +64,21 @@ def _require_eo(f: Signature) -> None:
         raise ValueError("not an EO signature")
 
 
-def in_d1(f: Signature, arity_budget: int = DEFAULT_ARITY_BUDGET) -> bool:
+def in_d1(f: Signature) -> bool:
     """Delta1-affine membership: a delta1 factor whose residual pins-to-0 all
     land back in affine-or-delta1, recursively."""
     _require_eo(f)
-    return _in_d1_rec(f, arity_budget)
+    return _in_d1_rec(f, len(_d1_memo) + MEMO_BUDGET)
 
 
-def _in_d1_rec(f: Signature, budget: int) -> bool:
-    if f.arity > budget:
-        raise BudgetExceeded(f"in_d1 arity budget {budget} exceeded ({f.arity})")
+def _in_d1_rec(f: Signature, limit: int) -> bool:
     hit = _d1_memo.get(f)
     if hit is not None:
         return hit
+    if len(_d1_memo) >= limit:
+        raise BudgetExceeded(
+            f"in_d1 budget of {MEMO_BUDGET} new memo entries exceeded"
+        )
     if not f.support:
         result = False
     else:
@@ -82,17 +88,17 @@ def _in_d1_rec(f: Signature, budget: int) -> bool:
         else:
             g = pin(f, ones[0], 1)
             result = all(
-                is_affine(p) or _in_d1_rec(p, budget)
+                is_affine(p) or _in_d1_rec(p, limit)
                 for p in (pin(g, i, 0) for i in range(1, g.arity + 1))
             )
     _d1_memo[f] = result
     return result
 
 
-def in_d0(f: Signature, arity_budget: int = DEFAULT_ARITY_BUDGET) -> bool:
+def in_d0(f: Signature) -> bool:
     """Dual of in_d1 with the roles of 0 and 1 swapped."""
     _require_eo(f)
-    return _in_d1_rec(complement(f), arity_budget)
+    return _in_d1_rec(complement(f), len(_d1_memo) + MEMO_BUDGET)
 
 
 def is_d1_kernel(f: Signature) -> bool:

@@ -8,15 +8,16 @@ complementary bits (orientation = which side got the 1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .affine import affine_system, count_packed, is_affine
-from .classes import in_d1
+from .classes import in_d0, in_d1
 from .errors import InstanceError
 from .signatures import (
     Signature,
     WeightedSignature,
-    complement,
     delta_factors,
     is_eo,
     pin,
@@ -151,12 +152,56 @@ def solve_affine(inst: Instance) -> CountResult:
     return CountResult(count_packed(rows, ne), Method.AFFINE)
 
 
-class _Work:
-    """Mutable view of an instance during the chain reaction."""
+class _Classes:
+    """Class membership of the distinct labels of one solve, each computed
+    at most once: affine, and per polarity t whether the label is affine or
+    an EO signature in the delta_t-affine class."""
 
-    def __init__(self, inst: Instance):
+    def __init__(self):
+        self._affine: dict = {}
+        self._tractable: dict = {}
+
+    def affine(self, sig: Signature) -> bool:
+        hit = self._affine.get(sig)
+        if hit is None:
+            hit = self._affine[sig] = is_affine(sig)
+        return hit
+
+    def tractable(self, sig: Signature, t: int) -> bool:
+        hit = self._tractable.get((sig, t))
+        if hit is None:
+            hit = self.affine(sig) or (
+                is_eo(sig) and (in_d1(sig) if t == 1 else in_d0(sig))
+            )
+            self._tractable[(sig, t)] = hit
+        return hit
+
+
+def _first_forced(sig: Signature, t: int):
+    """1-based position of the first constant-t column of a nonzero label,
+    or None."""
+    ones, zeros = delta_factors(sig)
+    forced = ones if t == 1 else zeros
+    return forced[0] if forced else None
+
+
+class _Work:
+    """Mutable view of an instance during the chain reaction.
+
+    Per live vertex it caches whether the label is affine and where its
+    first forced slot is, counts the non-affine vertices, and keeps the
+    owners of a forced slot in a heap ordered as the step choice wants:
+    non-affine owners first, then by ``str`` of the vertex id, then by
+    vertex order.  Entries go stale when a vertex's flags change; they are
+    skipped when they reach the top.
+    """
+
+    def __init__(self, inst: Instance, t: int):
         labels = inst.labels()
+        self.t = t
         self.sig = dict(labels)
+        # vertex order: breaks ties of str(v) and orders same-step drops
+        self.rank = {v: i for i, v in enumerate(labels)}
         # per vertex, the original slot ids still alive, in variable order
         self.slots = {v: list(range(1, s.arity + 1)) for v, s in labels.items()}
         self.edges = {e: pair for e, pair in enumerate(inst.edges)}
@@ -164,14 +209,55 @@ class _Work:
         for e, (a, b) in self.edges.items():
             self.by_endpoint[a] = e
             self.by_endpoint[b] = e
+        self.affine: dict = {}
+        self.forced: dict = {}
+        self.non_affine = 0
+        self.owners: list = []
 
     def position(self, v, slot) -> int:
-        return self.slots[v].index(slot) + 1
+        return bisect_left(self.slots[v], slot) + 1
+
+    def remove_slot(self, v, slot) -> None:
+        del self.slots[v][bisect_left(self.slots[v], slot)]
 
     def drop_edge(self, e) -> None:
         a, b = self.edges.pop(e)
         del self.by_endpoint[a]
         del self.by_endpoint[b]
+
+    def set_flags(self, v, affine: bool, forced) -> None:
+        # a vertex without flags yet counts as affine, i.e. not in non_affine
+        was_owner = self.forced.get(v) is not None
+        was_affine = self.affine.get(v, True)
+        self.non_affine += was_affine - affine
+        self.affine[v] = affine
+        self.forced[v] = forced
+        if forced is not None and (not was_owner or was_affine != affine):
+            heappush(self.owners, (affine, str(v), self.rank[v], v))
+
+    def refresh(self, v, sig: Signature) -> None:
+        """Store v's pinned label; flags are computed only for a label that
+        stays in the instance (nonzero, arity > 0)."""
+        self.sig[v] = sig
+        if sig.arity and sig.support:
+            self.set_flags(v, is_affine(sig), _first_forced(sig, self.t))
+
+    def drop(self, v) -> None:
+        """Remove a vertex whose label is the scalar 1."""
+        del self.sig[v]
+        del self.slots[v]
+        self.non_affine -= not self.affine.pop(v, True)
+        self.forced.pop(v, None)
+
+    def next_owner(self):
+        """The vertex whose forced slot the next step consumes, or None."""
+        owners = self.owners
+        while owners:
+            affine, _, _, v = owners[0]
+            if self.forced.get(v) is not None and self.affine[v] == affine:
+                return v
+            heappop(owners)
+        return None
 
     def residual(self) -> Instance:
         names = {}
@@ -194,99 +280,100 @@ def chain_reaction(
     inst: Instance,
     polarity: Polarity = Polarity.ONE,
     trace: bool = False,
-    debug: bool = False,
+    label_classes: _Classes | None = None,
 ) -> CountResult:
     """Repeatedly consume a forced delta slot through its disequality edge,
-    pinning the neighbour, until the residual instance is all-affine."""
+    pinning the neighbour, until the residual instance is all-affine.
+
+    A step changes only the two labels it pins, so only they are examined
+    again.  ``label_classes`` passes on the classes that ``solve`` already
+    computed for the labels.
+    """
     t = 1 if polarity is Polarity.ONE else 0
-    for v, sig in inst.labels().items():
-        view = sig if t == 1 else complement(sig)
-        if not (is_affine(sig) or (is_eo(sig) and in_d1(view))):
+    classes = label_classes or _Classes()
+    labels = inst.labels()
+    for v, sig in labels.items():
+        if not classes.tractable(sig, t):
             raise InstanceError(
                 f"vertex {v}: label outside the polarity-{polarity.value} "
                 "tractable class"
             )
     method = Method.CHAIN_D1 if t == 1 else Method.CHAIN_D0
-    work = _Work(inst)
     steps: list = []
 
     def note(msg):
         if trace:
             steps.append(msg)
 
-    while True:
-        if any(s.is_zero() for s in work.sig.values()):
-            note("zero signature reached; count is 0")
-            return CountResult(0, method, tuple(steps) if trace else None)
-        for v in [v for v, s in work.sig.items() if s.arity == 0]:
-            del work.sig[v]
-            del work.slots[v]
+    def result(count):
+        return CountResult(count, method, tuple(steps) if trace else None)
+
+    if any(s.is_zero() for s in labels.values()):
+        note("zero signature reached; count is 0")
+        return result(0)
+    work = _Work(inst, t)
+    for v, sig in labels.items():
+        if sig.arity == 0:
+            work.drop(v)
             note(f"dropped scalar-1 vertex {v}")
-        order = sorted(work.sig, key=str)
-        if all(is_affine(work.sig[v]) for v in order):
-            res = work.residual()
-            if not res.vertices:
-                return CountResult(1, method, tuple(steps) if trace else None)
-            count = solve_affine(res).count
-            note(f"affine residual with {len(res.edges)} edges: count {count}")
-            return CountResult(count, method, tuple(steps) if trace else None)
+        else:
+            work.set_flags(v, classes.affine(sig), _first_forced(sig, t))
+
+    while work.non_affine:
         # A pin can leave a non-affine residual with no delta column of its
         # own; the forced slot that keeps the chain going may then sit on a
-        # different vertex (possibly one with an affine label), so scan all
-        # labels.  Prefer non-affine owners to keep traces short.
-        target = None
-        for affine_ok in (False, True):
-            for v in order:
-                if is_affine(work.sig[v]) != affine_ok:
-                    continue
-                ones, zeros = delta_factors(work.sig[v])
-                if ones if t == 1 else zeros:
-                    target = v
-                    break
-            if target is not None:
-                break
-        if target is None:
+        # different vertex, possibly one with an affine label.  Non-affine
+        # owners go first to keep traces short.
+        u = work.next_owner()
+        if u is None:
             raise InstanceError(
                 "non-affine label remains but no forced delta slot exists "
                 "anywhere; chain-reaction invariant broken"
             )
-        u = target
         f = work.sig[u]
-        ones, zeros = delta_factors(f)
-        forced = ones if t == 1 else zeros
-        pos = forced[0]
+        pos = work.forced[u]
         slot_id = work.slots[u][pos - 1]
         e = work.by_endpoint[(u, slot_id)]
         a, b = work.edges[e]
-        other = b if a == (u, slot_id) else a
-        v, other_slot = other
+        v, other_slot = b if a == (u, slot_id) else a
+        j = work.position(v, other_slot)
         if v == u:
-            j = work.position(u, other_slot)
-            new = pin2(f, pos, j, t, 1 - t)
-            work.sig[u] = new
-            for s in sorted((slot_id, other_slot), reverse=True):
-                work.slots[u].remove(s)
+            pinned = {u: pin2(f, pos, j, t, 1 - t)}
             note(f"self-loop at {u}: pinned slots {slot_id},{other_slot}")
         else:
-            j = work.position(v, other_slot)
-            work.sig[u] = pin(f, pos, t)
-            work.sig[v] = pin(work.sig[v], j, 1 - t)
-            work.slots[u].remove(slot_id)
-            work.slots[v].remove(other_slot)
+            pinned = {u: pin(f, pos, t), v: pin(work.sig[v], j, 1 - t)}
             note(f"propagated {u}.{slot_id} -> {v}.{other_slot}")
+        work.remove_slot(u, slot_id)
+        work.remove_slot(v, other_slot)
         work.drop_edge(e)
-        if debug and v != u:
-            # Guarantee for the propagation step: the neighbour is
-            # annihilated, turns affine, or realizes a fresh forced slot.
-            s = work.sig.get(v)
-            if s is not None and s.arity > 0 and not s.is_zero():
-                if not is_affine(s):
-                    ones, zeros = delta_factors(s)
-                    if not (ones if t == 1 else zeros):
-                        raise InstanceError(
-                            f"vertex {v}: propagation produced a non-affine "
-                            "label with no forced slot"
-                        )
+        for w, sig in pinned.items():
+            work.refresh(w, sig)
+        if any(sig.is_zero() for sig in pinned.values()):
+            note("zero signature reached; count is 0")
+            return result(0)
+        # Guarantee for the propagation step: the neighbour is annihilated,
+        # turns affine, or realizes a fresh forced slot.
+        if (
+            v != u
+            and pinned[v].arity
+            and not work.affine[v]
+            and work.forced[v] is None
+        ):
+            raise InstanceError(
+                f"vertex {v}: propagation produced a non-affine "
+                "label with no forced slot"
+            )
+        for w in sorted(pinned, key=work.rank.get):
+            if not pinned[w].arity:
+                work.drop(w)
+                note(f"dropped scalar-1 vertex {w}")
+
+    res = work.residual()
+    if not res.vertices:
+        return result(1)
+    count = solve_affine(res).count
+    note(f"affine residual with {len(res.edges)} edges: count {count}")
+    return result(count)
 
 
 def solve(
@@ -296,35 +383,27 @@ def solve(
     brute_cap: int = DEFAULT_BRUTE_CAP,
 ) -> CountResult:
     """Dispatch: affine instances to Gaussian elimination, one-polarity
-    instances to the chain reaction, everything else to brute force."""
+    instances to the chain reaction, everything else to brute force.  Each
+    distinct label is classified once."""
     errors, _ = validate(inst)
     if errors:
         raise InstanceError("; ".join(errors))
-    labels = list(inst.labels().values())
     if method == "brute":
         return brute_force(inst, cap=brute_cap)
     if method == "affine":
         return solve_affine(inst)
-
-    def all_in(pol):
-        t = 1 if pol is Polarity.ONE else 0
-        return all(
-            is_affine(s) or (is_eo(s) and in_d1(s if t == 1 else complement(s)))
-            for s in labels
-        )
-
-    if method == "chain":
-        for pol in (Polarity.ONE, Polarity.ZERO):
-            if all_in(pol):
-                return chain_reaction(inst, pol, trace=trace)
-        raise InstanceError("no single polarity covers all labels")
-    if method != "auto":
+    if method not in ("auto", "chain"):
         raise ValueError(f"unknown method {method!r}")
-    if all(is_affine(s) for s in labels):
+    classes = _Classes()
+    labels = list(dict.fromkeys(inst.labels().values()))
+    if method == "auto" and all(classes.affine(s) for s in labels):
         return solve_affine(inst)
     for pol in (Polarity.ONE, Polarity.ZERO):
-        if all_in(pol):
-            return chain_reaction(inst, pol, trace=trace)
+        t = 1 if pol is Polarity.ONE else 0
+        if all(classes.tractable(s, t) for s in labels):
+            return chain_reaction(inst, pol, trace=trace, label_classes=classes)
+    if method == "chain":
+        raise InstanceError("no single polarity covers all labels")
     res = brute_force(inst, cap=brute_cap)
     return CountResult(
         res.count,

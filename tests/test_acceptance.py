@@ -48,7 +48,7 @@ from eocount.signatures import (
     wt,
 )
 
-from conftest import random_affine_eo, random_instance
+from helpers import random_affine_eo, random_instance
 
 F2_ROWS = {"1100", "1010", "1001"}
 F3_ROWS = {

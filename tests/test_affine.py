@@ -18,7 +18,7 @@ from eocount.affine import (
 from eocount.errors import PairingError
 from eocount.signatures import delta_factors, is_eo, wt
 
-from conftest import random_affine_eo
+from helpers import random_affine_eo
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 

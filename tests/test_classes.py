@@ -14,8 +14,9 @@ from eocount import (
     m_multiple,
     tensor,
 )
+from eocount import classes
 from eocount.classes import KernelKind, direct_d1_kernel
-from eocount.errors import StructureViolation
+from eocount.errors import BudgetExceeded, StructureViolation
 from eocount.hadamard import Polarity, balanced_code, basic_kernel, butterfly
 from eocount.signatures import (
     DELTA0,
@@ -37,6 +38,15 @@ def test_in_d1_families():
     assert in_d1(tensor(DELTA1, DELTA0))
     # plain affine signatures without a delta1 factor sit outside the class
     assert not in_d1(NEQ2)
+
+
+def test_in_d1_budget_counts_memo_entries_not_arity(monkeypatch):
+    monkeypatch.setattr(classes, "_d1_memo", {})
+    monkeypatch.setattr(classes, "MEMO_BUDGET", 2)
+    assert in_d1(basic_kernel(6))  # arity 64, two new memo entries
+    deep = tensor(tensor(basic_kernel(2), basic_kernel(2)), basic_kernel(2))
+    with pytest.raises(BudgetExceeded):
+        in_d1(deep)  # arity 12, 13 new memo entries
 
 
 def test_in_d1_rejects_non_eo():

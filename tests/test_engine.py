@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from eocount import (
@@ -13,12 +15,13 @@ from eocount import (
     tensor,
     validate,
 )
+from eocount import engine
 from eocount.engine import gadget_demo_hardness
 from eocount.errors import InstanceError
 from eocount.hadamard import Polarity, basic_kernel, butterfly
 from eocount.signatures import DELTA0, DELTA1, bits_str, m_multiple
 
-from conftest import random_affine_eo, random_instance
+from helpers import complemented, planted_instance, random_affine_eo, random_instance
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 G2 = Signature.from_strings(["0011", "0101", "0110"])
@@ -149,16 +152,19 @@ def test_chain_reaction_trace():
     assert res.steps
 
 
+CHAIN_POOL = [
+    basic_kernel(2),
+    basic_kernel(3),
+    NEQ2,
+    butterfly(1),
+    m_multiple(basic_kernel(2), 2),
+    tensor(NEQ2, basic_kernel(1)),
+    D1D0,
+]
+
+
 def test_chain_vs_brute_randomized(rng):
-    pool = [
-        basic_kernel(2),
-        basic_kernel(3),
-        NEQ2,
-        butterfly(1),
-        m_multiple(basic_kernel(2), 2),
-        tensor(NEQ2, basic_kernel(1)),
-        D1D0,
-    ]
+    pool = CHAIN_POOL
     trials = 0
     while trials < 120:
         inst = random_instance(rng, pool, rng.randint(1, 4), 11)
@@ -166,9 +172,62 @@ def test_chain_vs_brute_randomized(rng):
             continue
         trials += 1
         assert (
-            chain_reaction(inst, Polarity.ONE, debug=True).count
+            chain_reaction(inst, Polarity.ONE).count
             == brute_force(inst).count
         )
+
+
+def test_chain_vs_brute_planted_both_polarities():
+    rng = random.Random(1)
+    for edges in list(range(4, 19, 2)) * 2 + [20]:
+        inst = planted_instance(rng, CHAIN_POOL, edges)
+        want = brute_force(inst).count
+        assert want >= 1
+        assert chain_reaction(inst, Polarity.ONE).count == want
+        assert chain_reaction(complemented(inst), Polarity.ZERO).count == want
+
+
+def test_chain_is_affine_calls_stay_linear(monkeypatch):
+    calls = 0
+    real = engine.is_affine
+
+    def counted(sig):
+        nonlocal calls
+        calls += 1
+        return real(sig)
+
+    monkeypatch.setattr(engine, "is_affine", counted)
+    inst = planted_instance(random.Random(7), CHAIN_POOL, 800)
+    res = chain_reaction(inst, Polarity.ONE, trace=True)
+    steps = sum(s.startswith(("propagated", "self-loop")) for s in res.steps)
+    assert len(inst.vertices) >= 300
+    assert res.count >= 1 and steps >= len(inst.vertices)
+    # a rescan of every label on every step would make ~steps * labels calls
+    assert calls <= 4 * (len(inst.vertices) + steps)
+
+
+def test_solve_arity_64_kernel_label():
+    kernel = basic_kernel(6)
+    assert kernel.arity == 64
+    # pair each 1 of one support row with a 0 of it, alternately through a
+    # self-loop and through a NEQ2 vertex; both force the pair to differ
+    row = min(kernel.support)
+    pairs = list(zip([i for i, b in enumerate(row, 1) if b],
+                     [i for i, b in enumerate(row, 1) if not b]))
+    vertices, edges = [("k", "kernel")], []
+    for n, (p, q) in enumerate(pairs):
+        if n % 2:
+            edges.append((("k", p), ("k", q)))
+        else:
+            vertices.append((f"w{n}", "neq"))
+            edges += [(("k", p), (f"w{n}", 1)), (("k", q), (f"w{n}", 2))]
+    inst = Instance({"kernel": kernel, "neq": NEQ2}, tuple(vertices), tuple(edges))
+    want = sum(all(r[p - 1] != r[q - 1] for p, q in pairs) for r in kernel.support)
+    assert want >= 1
+    res = solve(inst)
+    assert (res.count, res.method) == (want, Method.CHAIN_D1)
+    res = solve(complemented(inst))
+    assert (res.count, res.method) == (want, Method.CHAIN_D0)
 
 
 def test_solve_dispatch():
@@ -180,13 +239,28 @@ def test_solve_dispatch():
     assert solve(crossed_f2(), method="brute").method is Method.BRUTE
 
 
-def test_solve_mixed_polarity_falls_back():
-    inst = Instance(
+def mixed_f2_g2():
+    return Instance(
         signatures={"f2": F2, "g2": G2},
         vertices=(("v1", "f2"), ("v2", "g2")),
         edges=((("v1", 1), ("v2", 1)), (("v1", 2), ("v2", 2)),
                (("v1", 3), ("v2", 3)), (("v1", 4), ("v2", 4))),
     )
+
+
+def test_chain_invariant_checked_on_every_step():
+    class Unchecked(engine._Classes):
+        def tractable(self, sig, t):
+            return True
+
+    # G2 lies outside the delta1 class: pinning its slot 1 to 0 leaves a
+    # non-affine label without a forced slot
+    with pytest.raises(InstanceError, match="non-affine label with no forced"):
+        chain_reaction(mixed_f2_g2(), Polarity.ONE, label_classes=Unchecked())
+
+
+def test_solve_mixed_polarity_falls_back():
+    inst = mixed_f2_g2()
     res = solve(inst)
     assert res.method is Method.BRUTE
     assert res.note

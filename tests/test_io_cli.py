@@ -97,6 +97,24 @@ def test_cli_gen_kernel():
     assert set(out.split()) == {"1100", "1010", "1001"}
 
 
+def test_cli_gen_classify_roundtrip(tmp_path):
+    """Every kernel `gen` emits is classified, up to arity 192."""
+    path = tmp_path / "kernel.sig"
+    for k in range(2, 7):
+        for m in (1, 2, 3):
+            code, out = run_cli(["gen", "kernel", "--k", str(k), "--m", str(m)])
+            assert code == 0
+            path.write_text(out)
+            code, out = run_cli(["classify", str(path), "--format", "kv"])
+            assert code == 0
+            rep = dict(line.split("=", 1) for line in out.split())
+            assert rep["arity"] == str(m << k)
+            assert (rep["d1"], rep["d0"], rep["d1_kernel"]) == ("true", "false", "true")
+            assert rep["kind"] == ("trivial" if k == 2 else "hadamard")
+            assert rep.get("k") == (None if k == 2 else str(k))
+            assert rep["m"] == str(m)
+
+
 def test_cli_gen_families():
     for args in (
         ["gen", "butterfly", "--k", "2"],
