@@ -66,7 +66,6 @@ from .signatures import (
     delta_factors,
     extract,
     hat,
-    is_ars,
     is_eo,
     m_multiple,
     multiple_decompose,
@@ -93,7 +92,7 @@ __all__ = [
     "instance_from_text", "instance_to_text",
     "DELTA0", "DELTA1", "NEQ2", "SCALAR_ONE", "SCALAR_ZERO",
     "Signature", "WeightedSignature", "complement", "connect",
-    "delta_factors", "extract", "hat", "is_ars", "is_eo",
+    "delta_factors", "extract", "hat", "is_eo",
     "m_multiple", "multiple_decompose", "pin", "pin2",
     "signature_from_text", "signature_to_text", "strip_columns", "tensor",
 ]

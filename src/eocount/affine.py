@@ -8,10 +8,10 @@ Vectors are packed into Python ints, bit i (0-based) holding variable i+1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotAffineError, PairingError
-from .signatures import Signature, delta_factors, is_eo, wt
+from .signatures import Signature, is_eo, wt
 
 
 def _pack(bits) -> int:
@@ -22,94 +22,70 @@ def _pack(bits) -> int:
     return x
 
 
-def _unpack(x: int, n: int) -> tuple:
-    return tuple((x >> i) & 1 for i in range(n))
+def _pivots(rows) -> dict:
+    """Echelon basis of the span of packed rows: a dict from each basis row's
+    lowest set bit to the row.  An incoming row is reduced by the row that
+    owns its lowest bit until that bit is new (or the row vanishes), so the
+    dict's size is the rank."""
+    pivots: dict = {}
+    for r in rows:
+        while r:
+            low = r & -r
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = r
+                break
+            r ^= p
+    return pivots
 
 
 def gf2_eliminate(rows: list, ncols: int) -> list:
     """Reduced row echelon form of int-packed rows; zero rows dropped.
 
     Pivots are chosen at the lowest column index, so the result is canonical
-    for a given row space.
+    for a given row space.  Rows sort by pivot column; a row with no bit
+    among the ``ncols`` columns has no pivot and is dropped.
     """
-    work = [r for r in rows if r]
-    out = []
-    for col in range(ncols):
-        pivot = next((r for r in work if (r >> col) & 1), None)
-        if pivot is None:
-            continue
-        work = [r ^ pivot if (r >> col) & 1 else r for r in work if r != pivot]
-        out = [r ^ pivot if (r >> col) & 1 else r for r in out]
-        out.append(pivot)
-        work = [r for r in work if r]
-    return out
-
-
-def gf2_rank(rows: list, ncols: int) -> int:
-    return len(gf2_eliminate(rows, ncols))
+    pivots = _pivots(rows)
+    reduced: dict = {}  # filled from the highest pivot down
+    for low in sorted((low for low in pivots if low >> ncols == 0), reverse=True):
+        r = pivots[low]
+        for high, q in reduced.items():
+            if r & high:
+                r ^= q
+        reduced[low] = r
+    return list(reversed(reduced.values()))
 
 
 def gf2_nullspace(rows: list, ncols: int) -> list:
     """Basis of {x : r·x = 0 for every r}, int-packed."""
     ech = gf2_eliminate(rows, ncols)
-    pivots = []
-    for r in ech:
-        pivots.append((r & -r).bit_length() - 1)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fcol in free:
-        x = 1 << fcol
-        for r, p in zip(ech, pivots):
-            if (r >> fcol) & 1:
-                x |= 1 << p
-        basis.append(x)
+    for c in range(ncols):
+        free = 1 << c
+        if not any(r & -r == free for r in ech):
+            basis.append(free | sum(r & -r for r in ech if r & free))
     return basis
 
 
 @dataclass(frozen=True)
 class AffineSystem:
-    """An affine solution set over GF(2): offset plus span of a basis,
-    or an explicit empty system.
+    """An affine solution set over GF(2) on ``num_vars`` variables, packed:
+    the ``offset`` vector plus the span of ``basis``, or ``offset`` None for
+    the empty set.
 
-    ``constraints`` holds rows of n+1 bits (last bit the constant term):
-    x is a solution iff row·(x,1) = 0 for every row.
+    ``constraints`` holds rows of n+1 bits, the constant at bit n: x is a
+    solution iff every row has even overlap with x | 1 << n.
     """
 
     num_vars: int
-    offset: tuple | None
-    basis: tuple = field(default_factory=tuple)
-    constraints: tuple = field(default_factory=tuple)
+    offset: int | None
+    basis: tuple
+    constraints: tuple
 
     @property
     def is_empty(self) -> bool:
         return self.offset is None
-
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def solutions(self):
-        """Enumerate the solution set (2^dim vectors)."""
-        if self.is_empty:
-            return
-        n = self.num_vars
-        base = _pack(self.offset)
-        packed = [_pack(b) for b in self.basis]
-        for picks in itertools.product((0, 1), repeat=len(packed)):
-            x = base
-            for take, vec in zip(picks, packed):
-                if take:
-                    x ^= vec
-            yield _unpack(x, n)
-
-    def to_text(self) -> str:
-        from .signatures import bits_str, signature_to_text
-
-        sig = Signature(self.num_vars, frozenset(self.solutions()))
-        lines = signature_to_text(sig)
-        lines += "constraints\n"
-        for row in self.constraints:
-            lines += bits_str(row) + "\n"
-        return lines
 
 
 def is_affine(f: Signature) -> bool:
@@ -121,62 +97,34 @@ def is_affine(f: Signature) -> bool:
         return False
     rows = [_pack(r) for r in f.support]
     base = rows[0]
-    diffs = [r ^ base for r in rows]
-    return s == 1 << gf2_rank(diffs, f.arity)
+    return s == 1 << len(_pivots(r ^ base for r in rows))
 
 
 def affine_system(f: Signature) -> AffineSystem:
-    """Offset/basis/constraints view of an affine signature's support."""
-    if not is_affine(f):
-        raise NotAffineError("signature is not affine")
+    """Offset/basis/constraints view of an affine signature's support;
+    NotAffineError when the support is not an affine subspace."""
     n = f.arity
     if not f.support:
         # inconsistent system: the single row 0...0|1
-        return AffineSystem(n, None, (), (_unpack(1 << n, n + 1),))
-    rows = sorted(_pack(r) for r in f.support)
-    base = rows[0]
+        return AffineSystem(n, None, (), (1 << n,))
+    rows = [_pack(r) for r in f.support]
+    base = min(rows)
     basis = gf2_eliminate([r ^ base for r in rows], n)
-    null = gf2_nullspace(basis, n)
-    constraints = []
-    for a in null:
-        const = bin(a & base).count("1") & 1
-        constraints.append(_unpack(a | (const << n), n + 1))
-    return AffineSystem(
-        n,
-        _unpack(base, n),
-        tuple(_unpack(b, n) for b in basis),
-        tuple(constraints),
+    # the support lies in base + span(basis), equal to it iff same size
+    if len(rows) != 1 << len(basis):
+        raise NotAffineError("signature is not affine")
+    constraints = tuple(
+        a | ((a & base).bit_count() & 1) << n for a in gf2_nullspace(basis, n)
     )
-
-
-def count_solutions(systems, extra_equations=()) -> int:
-    """Number of joint solutions of stacked systems over one variable set.
-
-    Each extra equation is a row of n+1 bits, constant term last.  Exact big
-    integer; 0 when inconsistent.
-    """
-    if not systems and not extra_equations:
-        raise ValueError("nothing to count")
-    nvars = {s.num_vars for s in systems} | {len(r) - 1 for r in extra_equations}
-    if len(nvars) != 1:
-        raise ValueError(f"dimension mismatch: {sorted(nvars)}")
-    (n,) = nvars
-    rows = []
-    for s in systems:
-        if s.is_empty:
-            return 0
-        rows.extend(_pack(r) for r in s.constraints)
-    rows.extend(_pack(r) for r in extra_equations)
-    return count_packed(rows, n)
+    return AffineSystem(n, base, tuple(basis), constraints)
 
 
 def count_packed(rows: list, n: int) -> int:
     """Solutions of packed (n+1)-bit rows over n variables; 0 if inconsistent."""
-    ech = gf2_eliminate(rows, n + 1)
-    const_only = 1 << n
-    if const_only in ech:
+    pivots = _pivots(rows)
+    if 1 << n in pivots:  # the row space holds 0 = 1
         return 0
-    return 1 << (n - len(ech))
+    return 1 << (n - len(pivots))
 
 
 def pairwise_opposite_pairs(f: Signature) -> list:
@@ -225,5 +173,5 @@ def random_affine_signature(rng, n: int, max_dim: int | None = None) -> Signatur
         for take, v in zip(picks, basis):
             if take:
                 x ^= v
-        sols.add(_unpack(x, n))
+        sols.add(tuple((x >> i) & 1 for i in range(n)))
     return Signature(n, frozenset(sols))

@@ -113,18 +113,6 @@ def _canonicalize(f: Signature, node_budget: int) -> Signature:
                         aut_set.add(cand)
                         auts.append(cand)
             return
-        # Stabilizer of the prefix, maintained incrementally: the parent
-        # filtered everything it knew about, so only automorphisms recorded
-        # since then need the full prefix check.
-        if auts_seen < len(auts):
-            fresh = [
-                a
-                for a in auts[auts_seen:]
-                if all(a[p] == p for p in prefix)
-            ]
-            if fresh:
-                stab = stab + fresh
-            auts_seen = len(auts)
         d = len(prefix)
         keyed = [(key_of(c, blocks), c) for c in remaining]
         kmin = min(k for k, _ in keyed)
@@ -136,8 +124,10 @@ def _canonicalize(f: Signature, node_budget: int) -> Signature:
         ties = [c for k, c in keyed if k == kmin]
         expanded: list = []
         for c in ties:
-            # Automorphisms found while expanding earlier tie siblings prune
-            # the later ones, so refresh the stabilizer inside the loop.
+            # Stabilizer of the prefix, maintained incrementally: the parent
+            # filtered everything it knew about, so only automorphisms
+            # recorded since then (some while expanding earlier tie
+            # siblings, which they prune) need the full prefix check.
             if auts_seen < len(auts):
                 fresh = [
                     a

@@ -101,17 +101,14 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-_VARIANTS = {"1": Polarity.ONE, "0": Polarity.ZERO, "1b": Polarity.ONE, "0b": Polarity.ZERO}
+_VARIANTS = {"1": Polarity.ONE, "0": Polarity.ZERO}
 
 
 def _cmd_gen(args) -> int:
     kind, k = args.kind, args.k
     pol = _VARIANTS[args.variant]
     if kind == "hadamard":
-        sig = (
-            balanced_code(k, pol) if args.variant.endswith("b")
-            else hadamard_code(k, pol)
-        )
+        sig = hadamard_code(k, pol)
     elif kind == "balanced":
         sig = balanced_code(k, pol)
     elif kind == "butterfly":

@@ -14,14 +14,16 @@ from heapq import heappop, heappush
 
 from .affine import affine_system, count_packed, is_affine
 from .classes import in_d0, in_d1
-from .errors import InstanceError
+from .errors import InstanceError, NotAffineError
 from .signatures import (
     Signature,
     WeightedSignature,
     delta_factors,
     is_eo,
+    loop_diseq,
     pin,
     pin2,
+    weighted_tensor,
 )
 from .hadamard import Polarity
 
@@ -43,9 +45,6 @@ class Instance:
     signatures: dict  # name -> Signature
     vertices: tuple  # of (vertex_id, signature_name)
     edges: tuple  # of ((v, slot), (v, slot))
-
-    def label(self, v) -> Signature:
-        return self.signatures[dict(self.vertices)[v]]
 
     def labels(self) -> dict:
         return {v: self.signatures[name] for v, name in self.vertices}
@@ -130,21 +129,24 @@ def brute_force(inst: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult:
 def solve_affine(inst: Instance) -> CountResult:
     """One GF(2) variable per edge; every vertex contributes its affine
     constraints with slots substituted by the edge variable or its
-    complement."""
+    complement.  Each distinct label's system is derived once."""
     ne = len(inst.edges)
     ep = _endpoint_map(inst)
+    systems: dict = {}
     rows = []
     for v, sig in inst.labels().items():
-        if not is_affine(sig):
-            raise InstanceError(f"vertex {v}: label is not affine")
-        sys = affine_system(sig)
+        sys = systems.get(sig)
+        if sys is None:
+            try:
+                sys = systems[sig] = affine_system(sig)
+            except NotAffineError:
+                raise InstanceError(f"vertex {v}: label is not affine") from None
         if sys.is_empty:
             return CountResult(0, Method.AFFINE)
         for crow in sys.constraints:
-            packed = 0
-            const = crow[-1]
-            for slot, coeff in enumerate(crow[:-1], start=1):
-                if coeff:
+            packed, const = 0, crow >> sig.arity
+            for slot in range(1, sig.arity + 1):
+                if crow >> (slot - 1) & 1:
                     e, side = ep[(v, slot)]
                     packed ^= 1 << e
                     const ^= side  # second endpoint holds the complement
@@ -427,14 +429,12 @@ def gadget_demo_hardness(f, g, pairs) -> WeightedSignature:
     for _, j in pairs:
         if not 1 <= j <= wg.arity:
             raise IndexError(f"right index {j} out of range")
-    keep_f = [i for i in range(1, wf.arity + 1) if i not in {i for i, _ in pairs}]
-    keep_g = [j for j in range(1, wg.arity + 1) if j not in {j for _, j in pairs}]
-    out: dict = {}
-    for a, va in wf.values.items():
-        for b, vb in wg.values.items():
-            if all(a[i - 1] != b[j - 1] for i, j in pairs):
-                key = tuple(a[i - 1] for i in keep_f) + tuple(
-                    b[j - 1] for j in keep_g
-                )
-                out[key] = out.get(key, 0) + va * vb
-    return WeightedSignature(len(keep_f) + len(keep_g), out)
+    h = weighted_tensor(wf, wg)
+    removed: list = []  # tensor indices already looped away
+    for i, j in pairs:
+        a, b = i, wf.arity + j
+        h = loop_diseq(
+            h, a - sum(r < a for r in removed), b - sum(r < b for r in removed)
+        )
+        removed += [a, b]
+    return h

@@ -28,9 +28,6 @@ class PmMatrix:
     order: int
     entries: tuple  # tuple of row tuples
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def is_hadamard(self) -> bool:
         n = self.order
         for i in range(n):
@@ -39,12 +36,6 @@ class PmMatrix:
                 if dot != (n if i == j else 0):
                     return False
         return True
-
-    def to_text(self) -> str:
-        return "".join(
-            "".join("+" if e > 0 else "-" for e in row) + "\n"
-            for row in self.entries
-        )
 
 
 def _check_k(k: int, max_k: int, low: int = 0) -> None:

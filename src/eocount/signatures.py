@@ -15,9 +15,6 @@ from .errors import FormatError
 
 BitVector = tuple  # tuple of 0/1 ints
 
-DEFAULT_MAX_ARITY = 64
-DEFAULT_MAX_SUPPORT = 4096
-
 
 def wt(bits: BitVector) -> int:
     """Hamming weight."""
@@ -232,19 +229,6 @@ def hat(f: Signature) -> Signature:
     return Signature(f.arity, f.support ^ {(1,) * f.arity})
 
 
-def check(f: Signature) -> Signature:
-    """Symmetric difference of the support with the all-0 vector."""
-    if f.arity < 1:
-        raise ValueError("check undefined for arity 0")
-    return Signature(f.arity, f.support ^ {(0,) * f.arity})
-
-
-def column_count(f: Signature, i: int, b: int) -> int:
-    """Number of rows with bit b in column i."""
-    f._check_index(i)
-    return sum(1 for r in f.support if r[i - 1] == b)
-
-
 def delta_factors(f: Signature) -> tuple:
     """Indices of constant-1 and constant-0 columns, as two sorted lists.
 
@@ -307,11 +291,6 @@ def multiple_decompose(f: Signature) -> tuple:
         len(reps), frozenset(tuple(r[i - 1] for i in reps) for r in f.support)
     )
     return base, m, groups
-
-
-def is_ars(f: Signature) -> bool:
-    """True iff the support is closed under complementing all bits."""
-    return all(bits_complement(r) in f.support for r in f.support)
 
 
 # -- text format ------------------------------------------------------------

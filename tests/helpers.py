@@ -6,6 +6,24 @@ from eocount import Instance, Signature, complement
 from eocount.affine import gf2_eliminate
 
 
+def gauss_jordan(rows, ncols: int) -> list:
+    """Reduced row echelon form of int-packed rows by textbook Gauss-Jordan
+    on 0/1 lists: columns left to right (bit 0 first), nonzero rows packed
+    again, in pivot order.  A reference for ``gf2_eliminate``."""
+    m = [[(r >> c) & 1 for c in range(ncols)] for r in rows]
+    top = 0
+    for c in range(ncols):
+        p = next((i for i in range(top, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[top], m[p] = m[p], m[top]
+        for i in range(len(m)):
+            if i != top and m[i][c]:
+                m[i] = [x ^ y for x, y in zip(m[i], m[top])]
+        top += 1
+    return [sum(b << c for c, b in enumerate(row)) for row in m[:top]]
+
+
 def random_affine_eo(rng: random.Random, half: int) -> Signature:
     """Random affine EO signature of arity 2*half.
 

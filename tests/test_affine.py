@@ -1,33 +1,28 @@
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eocount import NEQ2, Signature, is_affine
 from eocount.affine import (
-    AffineSystem,
     affine_system,
     constant_weight_profile,
     count_packed,
-    count_solutions,
     gf2_eliminate,
     gf2_nullspace,
-    gf2_rank,
     pairwise_opposite_pairs,
     random_affine_signature,
 )
-from eocount.errors import PairingError
+from eocount.errors import NotAffineError, PairingError
 from eocount.signatures import delta_factors, is_eo, wt
 
-from helpers import random_affine_eo
+from helpers import gauss_jordan, random_affine_eo
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 
 
 def test_gf2_basics():
     rows = [0b011, 0b101, 0b110]
-    assert gf2_rank(rows, 3) == 2
-    ech = gf2_eliminate(rows, 3)
-    assert len(ech) == 2
+    assert gf2_eliminate(rows, 3) == [0b101, 0b110]
     null = gf2_nullspace(rows, 3)
     assert len(null) == 1
     v = null[0]
@@ -52,40 +47,72 @@ def test_empty_and_singleton_are_affine():
     assert is_affine(Signature.from_strings(["101"]))
 
 
-def test_affine_system_roundtrip():
-    for f in (
+def _cut_out(constraints, n) -> frozenset:
+    """Vectors of n bits on which every packed constraint row holds."""
+    return frozenset(
+        tuple(x >> i & 1 for i in range(n))
+        for x in range(1 << n)
+        if all(((x | 1 << n) & row).bit_count() % 2 == 0 for row in constraints)
+    )
+
+
+def test_affine_system_roundtrip(rng):
+    fixed = [
         NEQ2,
         Signature.from_strings(["0110", "1001"]),
         Signature.from_strings(["101"]),
         Signature(2, frozenset()),
-    ):
+    ]
+    randoms = [random_affine_signature(rng, rng.randint(1, 6)) for _ in range(40)]
+    for f in fixed + randoms:
         sys_ = affine_system(f)
-        assert frozenset(sys_.solutions()) == f.support
+        assert _cut_out(sys_.constraints, f.arity) == f.support
+        assert sys_.is_empty == (not f.support)
+        if f.support:
+            assert 1 << len(sys_.basis) == len(f.support)
+            assert tuple(sys_.offset >> i & 1 for i in range(f.arity)) in f.support
 
 
 def test_affine_system_rejects_non_affine():
-    with pytest.raises(Exception):
+    with pytest.raises(NotAffineError):
         affine_system(F2)
-
-
-def test_affine_system_text():
-    text = affine_system(NEQ2).to_text()
-    assert "constraints" in text
-
-
-def test_count_solutions():
-    s1 = affine_system(NEQ2)
-    assert count_solutions([s1]) == 2
-    # systems stack over one shared variable set
-    assert count_solutions([s1, s1]) == 2
-    assert count_solutions([s1], extra_equations=[(1, 0, 1)]) == 1
-    assert count_solutions([s1], extra_equations=[(1, 1, 0)]) == 0
+    # a power-of-two support that is not affine
+    with pytest.raises(NotAffineError):
+        affine_system(Signature.from_strings(["1100", "1010", "1001", "0110"]))
 
 
 def test_count_packed_inconsistent():
     # 0 = 1 alone
     assert count_packed([1 << 2], 2) == 0
     assert count_packed([], 2) == 4
+
+
+def _width_and_rows(max_width: int, extra_bits: int):
+    """(n, up to 12 random rows of n + extra_bits bits) for n <= max_width."""
+    return st.integers(0, max_width).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, (1 << (n + extra_bits)) - 1), max_size=12),
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_width_and_rows(40, 0))
+def test_gf2_eliminate_matches_gauss_jordan(case):
+    ncols, rows = case
+    assert gf2_eliminate(rows, ncols) == gauss_jordan(rows, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_width_and_rows(10, 1))  # the constant term sits at bit n
+def test_count_packed_matches_enumeration(case):
+    n, rows = case
+    want = sum(
+        all(((x | 1 << n) & r).bit_count() % 2 == 0 for r in rows)
+        for x in range(1 << n)
+    )
+    assert count_packed(rows, n) == want
 
 
 def test_pairwise_opposite_simple():

@@ -206,6 +206,27 @@ def test_chain_is_affine_calls_stay_linear(monkeypatch):
     assert calls <= 4 * (len(inst.vertices) + steps)
 
 
+def test_affine_solve_classifies_each_label_once(monkeypatch):
+    calls = {"is_affine": 0, "affine_system": 0}
+    for name in calls:
+        real = getattr(engine, name)
+
+        def counted(sig, real=real, name=name):
+            calls[name] += 1
+            return real(sig)
+
+        monkeypatch.setattr(engine, name, counted)
+    rng = random.Random(11)
+    pool = [NEQ2] + [random_affine_eo(rng, h) for h in (2, 2, 3, 3)]
+    inst = planted_instance(rng, pool, 60)
+    labels = set(inst.labels().values())
+    assert len(inst.vertices) >= 3 * len(labels)
+    res = solve(inst)
+    assert res.method is Method.AFFINE and res.count >= 1
+    assert calls["is_affine"] <= len(labels)
+    assert calls["affine_system"] <= len(labels)
+
+
 def test_solve_arity_64_kernel_label():
     kernel = basic_kernel(6)
     assert kernel.arity == 64

@@ -119,7 +119,7 @@ def test_cli_gen_families():
     for args in (
         ["gen", "butterfly", "--k", "2"],
         ["gen", "wing", "--k", "2", "--variant", "0"],
-        ["gen", "hadamard", "--k", "2", "--variant", "1b"],
+        ["gen", "balanced", "--k", "2", "--variant", "1"],
         ["gen", "balanced", "--k", "3"],
         ["gen", "kernel", "--k", "3", "--m", "2"],
     ):

@@ -13,7 +13,6 @@ from eocount import (
     delta_factors,
     extract,
     hat,
-    is_ars,
     is_eo,
     m_multiple,
     multiple_decompose,
@@ -27,8 +26,6 @@ from eocount import (
 from eocount.errors import FormatError
 from eocount.signatures import (
     WeightedSignature,
-    check,
-    column_count,
     connect,
     loop_diseq,
     wt,
@@ -92,12 +89,10 @@ def test_tensor_and_complement():
     assert complement(complement(F2)) == F2
 
 
-def test_hat_and_check_are_involutions():
+def test_hat_is_involution():
     assert hat(hat(F2)) == F2
-    assert check(check(F2)) == F2
     # hat toggles the all-1 row in the support
     assert hat(F2) == Signature.from_strings(["1100", "1010", "1001", "1111"])
-    assert check(F2) == Signature.from_strings(["1100", "1010", "1001", "0000"])
 
 
 def test_delta_factors():
@@ -109,9 +104,7 @@ def test_delta_factors():
         delta_factors(Signature(3, frozenset()))
 
 
-def test_column_count_and_strip():
-    assert column_count(F2, 1, 1) == 3
-    assert column_count(F2, 2, 0) == 2
+def test_strip_columns():
     assert strip_columns(F2, (1,)) == Signature.from_strings(["100", "010", "001"])
 
 
@@ -130,11 +123,6 @@ def test_multiple_decompose_uneven_groups():
     f = Signature.from_strings(["11100", "10010", "10001"])
     _, m, _ = multiple_decompose(f)
     assert m == 1
-
-
-def test_is_ars():
-    assert is_ars(Signature.from_strings(["0110", "1001"]))
-    assert not is_ars(F2)
 
 
 def test_weighted_signature():
