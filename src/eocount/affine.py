@@ -7,19 +7,10 @@ Vectors are packed into Python ints, bit i (0-based) holding variable i+1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import NotAffineError, PairingError
-from .signatures import Signature, is_eo, wt
-
-
-def _pack(bits) -> int:
-    x = 0
-    for i, b in enumerate(bits):
-        if b:
-            x |= 1 << i
-    return x
+from .signatures import Signature, column_masks, is_eo
 
 
 def _pivots(rows) -> dict:
@@ -90,13 +81,13 @@ class AffineSystem:
 
 def is_affine(f: Signature) -> bool:
     """True iff the support is an affine subspace (empty included)."""
-    s = len(f.support)
+    rows = f.rows
+    s = len(rows)
     if s == 0:
         return True
     if s & (s - 1):
         return False
-    rows = [_pack(r) for r in f.support]
-    base = rows[0]
+    base = next(iter(rows))
     return s == 1 << len(_pivots(r ^ base for r in rows))
 
 
@@ -104,10 +95,10 @@ def affine_system(f: Signature) -> AffineSystem:
     """Offset/basis/constraints view of an affine signature's support;
     NotAffineError when the support is not an affine subspace."""
     n = f.arity
-    if not f.support:
+    rows = f.rows
+    if not rows:
         # inconsistent system: the single row 0...0|1
         return AffineSystem(n, None, (), (1 << n,))
-    rows = [_pack(r) for r in f.support]
     base = min(rows)
     basis = gf2_eliminate([r ^ base for r in rows], n)
     # the support lies in base + span(basis), equal to it iff same size
@@ -130,24 +121,22 @@ def count_packed(rows: list, n: int) -> int:
 def pairwise_opposite_pairs(f: Signature) -> list:
     """Perfect matching of variables into positionwise-complementary column
     pairs; guaranteed to exist for affine EO signatures."""
-    if not is_affine(f) or not is_eo(f) or not f.support:
+    if not is_affine(f) or not is_eo(f) or not f.rows:
         raise ValueError("requires a nonempty affine EO signature")
-    rows = f.rows_sorted()
+    every = (1 << len(f.rows)) - 1  # one bit per support row
     groups: dict = {}
-    for i in range(1, f.arity + 1):
-        col = tuple(r[i - 1] for r in rows)
+    for i, col in enumerate(column_masks(f), 1):
         groups.setdefault(col, []).append(i)
     pairs = []
-    for col in sorted(groups, key=lambda c: groups[c][0]):
-        comp = tuple(1 - b for b in col)
-        if col > comp:
-            continue
-        if comp not in groups or len(groups[col]) != len(groups[comp]):
+    for col, members in groups.items():
+        mates = groups.get(col ^ every)
+        if mates is None or len(mates) != len(members):
             raise PairingError(
                 "complementary column matching failed; this should be "
                 "impossible for affine EO signatures"
             )
-        pairs.extend(zip(groups[col], groups[comp]))
+        if members[0] < mates[0]:
+            pairs.extend(zip(members, mates))
     pairs.sort()
     return pairs
 
@@ -155,7 +144,7 @@ def pairwise_opposite_pairs(f: Signature) -> list:
 def constant_weight_profile(f: Signature) -> tuple:
     """(is_constant_weighted, weight); weight is None when not constant or
     the support is empty."""
-    weights = {wt(r) for r in f.support}
+    weights = {r.bit_count() for r in f.rows}
     if len(weights) == 1:
         return True, weights.pop()
     return (not weights), None
@@ -167,11 +156,7 @@ def random_affine_signature(rng, n: int, max_dim: int | None = None) -> Signatur
     offset = rng.getrandbits(n)
     vecs = [rng.getrandbits(n) for _ in range(dim)]
     basis = gf2_eliminate(vecs, n)
-    sols = set()
-    for picks in itertools.product((0, 1), repeat=len(basis)):
-        x = offset
-        for take, v in zip(picks, basis):
-            if take:
-                x ^= v
-        sols.add(tuple((x >> i) & 1 for i in range(n)))
-    return Signature(n, frozenset(sols))
+    sols = {offset}
+    for v in basis:
+        sols |= {x ^ v for x in sols}
+    return Signature._packed(n, frozenset(sols))

@@ -13,10 +13,12 @@ automorphisms discovered so far, in the style of canonical-labeling tools.
 from __future__ import annotations
 
 from .errors import BudgetExceeded, SizeCapExceeded
-from .signatures import Signature
+from .signatures import Signature, column_masks, permute_columns
 
 DEFAULT_CANON_MAX = 64
 _DEFAULT_NODE_BUDGET = 500_000
+# Size at which _cache is cleared before the next form is stored.
+CACHE_CAP = 1 << 16
 
 _cache: dict = {}
 
@@ -28,36 +30,34 @@ def canonical_form(
 ) -> Signature:
     """Canonical representative; equal for f, g iff they differ by a variable
     permutation."""
-    if f.arity > max_size or len(f.support) > max_size:
+    if f.arity > max_size or len(f.rows) > max_size:
         raise SizeCapExceeded(
             f"canonical_form cap {max_size} exceeded "
-            f"(arity {f.arity}, support {len(f.support)})"
+            f"(arity {f.arity}, support {len(f.rows)})"
         )
-    if f.arity == 0 or not f.support:
+    if f.arity == 0 or not f.rows:
         return f
     hit = _cache.get(f)
     if hit is None:
+        if len(_cache) >= CACHE_CAP:
+            _cache.clear()
         hit = _cache[f] = _canonicalize(f, node_budget)
     return hit
 
 
 def permutation_equivalent(f: Signature, g: Signature) -> bool:
-    if f.arity != g.arity or len(f.support) != len(g.support):
+    if f.arity != g.arity or len(f.rows) != len(g.rows):
         return False
     return canonical_form(f) == canonical_form(g)
 
 
 def _canonicalize(f: Signature, node_budget: int) -> Signature:
-    rows = f.rows_sorted()
     n = f.arity
-    # Column c as a bitmask over row indices; row blocks as bitmasks too, so
-    # keys and refinement are popcounts and AND-masks.
-    cols = [0] * n
-    for r, row in enumerate(rows):
-        for c, bit in enumerate(row):
-            if bit:
-                cols[c] |= 1 << r
-    all_rows = (1 << len(rows)) - 1
+    # Column c as a bitmask over the rows; row blocks as bitmasks too, so
+    # keys and refinement are popcounts and AND-masks.  Keys count rows, so
+    # the search does not depend on which bit a row takes.
+    cols = column_masks(f)
+    all_rows = (1 << len(f.rows)) - 1
 
     best: dict = {"seq": None, "perm": None}
     auts: list = []
@@ -150,6 +150,4 @@ def _canonicalize(f: Signature, node_budget: int) -> Signature:
             )
 
     dfs([], list(range(n)), (all_rows,), [], [], 0)
-    perm = best["perm"]
-    new_rows = frozenset(tuple(r[c] for c in perm) for r in rows)
-    return Signature(n, new_rows)
+    return permute_columns(f, best["perm"])

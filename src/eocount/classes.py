@@ -13,6 +13,7 @@ from .errors import BudgetExceeded, StructureViolation
 from .hadamard import Polarity
 from .signatures import (
     Signature,
+    column_masks,
     complement,
     delta_factors,
     hat,
@@ -20,7 +21,6 @@ from .signatures import (
     multiple_decompose,
     pin,
     strip_columns,
-    wt,
 )
 
 # New _d1_memo entries that one top-level in_d1/in_d0 call may add: the
@@ -28,6 +28,9 @@ from .signatures import (
 # the arity (a kernel of arity 192 adds 2 entries, a tensor of five basic
 # kernels of arity 4 about 100).
 MEMO_BUDGET = 1 << 13
+# Size at which a top-level call clears _d1_memo before it starts, so the
+# table never holds more than MEMO_CAP + MEMO_BUDGET entries.
+MEMO_CAP = 1 << 16
 
 
 class KernelKind(enum.Enum):
@@ -68,7 +71,15 @@ def in_d1(f: Signature) -> bool:
     """Delta1-affine membership: a delta1 factor whose residual pins-to-0 all
     land back in affine-or-delta1, recursively."""
     _require_eo(f)
-    return _in_d1_rec(f, len(_d1_memo) + MEMO_BUDGET)
+    return _in_d1_rec(f, _memo_limit())
+
+
+def _memo_limit() -> int:
+    """Start of a top-level call: clear _d1_memo if it has reached MEMO_CAP,
+    and return the memo size at which the call's budget runs out."""
+    if len(_d1_memo) >= MEMO_CAP:
+        _d1_memo.clear()
+    return len(_d1_memo) + MEMO_BUDGET
 
 
 def _in_d1_rec(f: Signature, limit: int) -> bool:
@@ -79,7 +90,7 @@ def _in_d1_rec(f: Signature, limit: int) -> bool:
         raise BudgetExceeded(
             f"in_d1 budget of {MEMO_BUDGET} new memo entries exceeded"
         )
-    if not f.support:
+    if not f.rows:
         result = False
     else:
         ones, _ = delta_factors(f)
@@ -98,7 +109,7 @@ def _in_d1_rec(f: Signature, limit: int) -> bool:
 def in_d0(f: Signature) -> bool:
     """Dual of in_d1 with the roles of 0 and 1 swapped."""
     _require_eo(f)
-    return _in_d1_rec(complement(f), len(_d1_memo) + MEMO_BUDGET)
+    return _in_d1_rec(complement(f), _memo_limit())
 
 
 def is_d1_kernel(f: Signature) -> bool:
@@ -106,7 +117,7 @@ def is_d1_kernel(f: Signature) -> bool:
     the residual must be non-affine with a delta0-free support whose every
     pin-to-0 is affine."""
     _require_eo(f)
-    if not f.support:
+    if not f.rows:
         return False
     ones, zeros = delta_factors(f)
     if not ones or zeros:
@@ -127,7 +138,7 @@ def direct_d1_kernel(f: Signature) -> bool:
     every pin-to-0 affine) without the delta0-free shortcut; used as an
     independent cross-check."""
     _require_eo(f)
-    if not f.support:
+    if not f.rows:
         return False
     ones, _ = delta_factors(f)
     if not ones:
@@ -153,18 +164,16 @@ def is_balanced_hadamard(f: Signature, polarity: Polarity = Polarity.ONE):
     if n < 2 or n & (n - 1):
         return None
     k = n.bit_length() - 1
-    if len(f.support) != n - 1:
+    if len(f.rows) != n - 1:
         return None
-    if any(wt(r) != n // 2 for r in f.support):
+    if any(r.bit_count() != n // 2 for r in f.rows):
         return None
     c = complement(hat(f))
-    if (0,) * n not in c.support:
+    if 0 not in c.rows:
         return None
     if not is_affine(c):
         return None
-    rows = c.rows_sorted()
-    cols = {tuple(r[i] for r in rows) for i in range(n)}
-    if len(cols) != n:
+    if len(set(column_masks(c))) != n:
         return None
     return k
 
@@ -180,7 +189,7 @@ def kernel_structure(f: Signature) -> KernelStructure:
         raise ValueError("not a kernel")
     ones, zeros = delta_factors(f)
     own = ones if polarity is Polarity.ONE else zeros
-    if len(f.support) == 3:
+    if len(f.rows) == 3:
         return KernelStructure(
             polarity,
             KernelKind.TRIVIAL,
@@ -193,9 +202,9 @@ def kernel_structure(f: Signature) -> KernelStructure:
     k = is_balanced_hadamard(base, polarity)
     if k is None:
         raise StructureViolation("kernel base is not a balanced Hadamard code")
-    if len(f.support) != (1 << k) - 1 or f.arity != m << k:
+    if len(f.rows) != (1 << k) - 1 or f.arity != m << k:
         raise StructureViolation(
-            f"kernel size mismatch: support {len(f.support)}, arity {f.arity}, "
+            f"kernel size mismatch: support {len(f.rows)}, arity {f.arity}, "
             f"k={k}, m={m}"
         )
     return KernelStructure(

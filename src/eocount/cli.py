@@ -82,7 +82,7 @@ def _cmd_classify(args) -> int:
     rep = classify(sig)
     pairs = [
         ("arity", sig.arity),
-        ("support", len(sig.support)),
+        ("support", len(sig.rows)),
         ("eo", str(rep.is_eo).lower()),
         ("affine", str(rep.is_affine).lower()),
         ("d1", str(rep.in_d1).lower()),
@@ -142,17 +142,19 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    if args.arity < 0 or args.arity % 2:
+        raise EOError(f"census needs an even arity >= 0, got {args.arity}")
     total = agree = kernels = 0
     trivial_expected = 0
     for f in enumerate_eo_supports(args.arity, args.max_support):
         total += 1
-        direct = direct_d1_kernel(f) if f.support else False
+        direct = direct_d1_kernel(f) if f.rows else False
         fast = is_d1_kernel(f)
         if direct == fast:
             agree += 1
         if fast:
             kernels += 1
-        if len(f.support) == 3 and f.support:
+        if len(f.rows) == 3:
             ones, zeros = delta_factors(f)
             if ones and not zeros:
                 trivial_expected += 1

@@ -112,14 +112,17 @@ def brute_force(inst: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult:
         raise InstanceError(f"{ne} edges exceeds brute-force cap {cap}")
     labels = inst.labels()
     ep = _endpoint_map(inst)
-    plan = []  # per vertex: (support set, [(edge, side), ...] in slot order)
+    # per vertex: packed rows, (edge, slot bit) per slot, and the slots that
+    # sit on the second endpoint of their edge, whose bits are flipped
+    plan = []
     for v, sig in labels.items():
         slots = [ep[(v, s)] for s in range(1, sig.arity + 1)]
-        plan.append((sig.support, slots))
+        flip = sum(side << k for k, (_, side) in enumerate(slots))
+        plan.append((sig.rows, [(e, k) for k, (e, _) in enumerate(slots)], flip))
     total = 0
     for x in range(1 << ne):
-        for support, slots in plan:
-            if tuple(((x >> e) & 1) ^ side for e, side in slots) not in support:
+        for rows, bits, flip in plan:
+            if sum(((x >> e) & 1) << k for e, k in bits) ^ flip not in rows:
                 break
         else:
             total += 1
@@ -241,7 +244,7 @@ class _Work:
         """Store v's pinned label; flags are computed only for a label that
         stays in the instance (nonzero, arity > 0)."""
         self.sig[v] = sig
-        if sig.arity and sig.support:
+        if sig.arity and sig.rows:
             self.set_flags(v, is_affine(sig), _first_forced(sig, self.t))
 
     def drop(self, v) -> None:

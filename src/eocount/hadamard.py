@@ -54,16 +54,26 @@ def sylvester(k: int, max_k: int = DEFAULT_MAX_K) -> PmMatrix:
     return PmMatrix(1 << k, tuple(tuple(r) for r in rows))
 
 
+def _parity_rows(k: int) -> list:
+    """Row a, for 0 <= a < 2^k, has bit m set iff a & m has odd weight:
+    the -1 entries of row a of the Sylvester matrix, built by the same
+    doubling."""
+    rows = [0]
+    for j in range(k):
+        n = 1 << j
+        full = (1 << n) - 1
+        rows = [r | r << n for r in rows] + [r | (r ^ full) << n for r in rows]
+    return rows
+
+
 def hadamard_code(
     k: int, variant: Polarity = Polarity.ONE, max_k: int = DEFAULT_MAX_K
 ) -> Signature:
     """Rows of the Sylvester matrix as a binary code of length 2^k."""
-    h = sylvester(k, max_k)
-    hit = 1 if variant is Polarity.ONE else 0
-    rows = frozenset(
-        tuple(hit if e > 0 else 1 - hit for e in row) for row in h.entries
-    )
-    return Signature(1 << k, rows)
+    _check_k(k, max_k)
+    # ONE sets the +1 entries, the complement of the parity rows
+    flip = (1 << (1 << k)) - 1 if variant is Polarity.ONE else 0
+    return Signature._packed(1 << k, frozenset(r ^ flip for r in _parity_rows(k)))
 
 
 def balanced_code(
@@ -73,8 +83,8 @@ def balanced_code(
     2^(k-1)."""
     _check_k(k, max_k, low=1)
     code = hadamard_code(k, variant, max_k)
-    const = (1,) * (1 << k) if variant is Polarity.ONE else (0,) * (1 << k)
-    return Signature(code.arity, code.support - {const})
+    const = (1 << code.arity) - 1 if variant is Polarity.ONE else 0
+    return Signature._packed(code.arity, code.rows - {const})
 
 
 def butterfly(k: int, max_k: int = DEFAULT_MAX_K - 1) -> Signature:
@@ -88,15 +98,10 @@ def butterfly(k: int, max_k: int = DEFAULT_MAX_K - 1) -> Signature:
     """
     _check_k(k, max_k, low=1)
     half = 1 << k
-    rows = set()
-    for a in range(half):  # assignment to the k free variables
-        left = tuple(_dot(m, a) for m in range(half))
-        rows.add(left + tuple(1 - b for b in left))
-    return Signature(2 * half, frozenset(rows))
-
-
-def _dot(m: int, a: int) -> int:
-    return bin(m & a).count("1") & 1
+    full = (1 << half) - 1
+    return Signature._packed(
+        2 * half, frozenset(r | (r ^ full) << half for r in _parity_rows(k))
+    )
 
 
 def wings(k: int, max_k: int = DEFAULT_MAX_K - 1) -> tuple:
@@ -104,12 +109,10 @@ def wings(k: int, max_k: int = DEFAULT_MAX_K - 1) -> tuple:
     each has arity 2^k and support 2^k - 1."""
     _check_k(k, max_k, low=1)
     half = 1 << k
-    left, right = set(), set()
-    for a in range(1, half):  # skip the constant row
-        row = tuple(_dot(m, a) for m in range(half))
-        left.add(row)
-        right.add(tuple(1 - b for b in row))
-    return Signature(half, frozenset(left)), Signature(half, frozenset(right))
+    full = (1 << half) - 1
+    left = frozenset(_parity_rows(k)[1:])  # row 0 is the constant row
+    right = frozenset(r ^ full for r in left)
+    return Signature._packed(half, left), Signature._packed(half, right)
 
 
 def basic_kernel(k: int, max_k: int = DEFAULT_MAX_K) -> Signature:

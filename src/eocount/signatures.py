@@ -1,19 +1,32 @@
 """0-1 signatures represented by their supports, and the syntactic operations
 on them: pinning, extracting, tensoring, looping, complements and friends.
 
-A bit vector is a tuple of 0/1 ints.  Variable indices are 1-based at every
-public interface.
+A support row is stored packed in an int, bit i holding variable i+1, so the
+operations on supports are mask operations.  Variable indices are 1-based at
+every public interface.  ``Signature.support`` shows the rows as bit vectors,
+tuples of 0/1 ints, for reading; weighted signatures keep bit-vector keys.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, itemgetter, or_
 from typing import Iterable, Mapping
 
-from .errors import FormatError
+from .errors import FormatError, SizeCapExceeded
 
 BitVector = tuple  # tuple of 0/1 ints
+
+# Byte value -> digit for int(_, 2): 0 and 1 map to themselves, any other
+# byte to "2", which int(_, 2) rejects.
+_DIGITS = b"01" + b"2" * 254
+_UNDIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+# enumerate_eo_supports refuses to start on more supports than this
+MAX_ENUMERATED_SUPPORTS = 1 << 20
 
 
 def wt(bits: BitVector) -> int:
@@ -21,53 +34,94 @@ def wt(bits: BitVector) -> int:
     return sum(bits)
 
 
-def bits_complement(bits: BitVector) -> BitVector:
-    return tuple(1 - b for b in bits)
-
-
-def parse_bits(text: str) -> BitVector:
-    if not all(c in "01" for c in text):
-        raise FormatError(f"not a 0/1 string: {text!r}")
-    return tuple(int(c) for c in text)
-
-
 def bits_str(bits: BitVector) -> str:
     return "".join(str(b) for b in bits)
 
 
-def _check_rows(arity: int, rows: Iterable[BitVector]) -> frozenset:
-    rows = frozenset(tuple(r) for r in rows)
-    for r in rows:
+def _parse_row(text: str) -> int:
+    if text.strip("01"):
+        raise FormatError(f"not a 0/1 string: {text!r}")
+    return int(text[::-1], 2) if text else 0
+
+
+def _pack_rows(arity: int, support: Iterable) -> frozenset:
+    rows = set()
+    for r in support:
         if len(r) != arity:
-            raise ValueError(f"row {bits_str(r)} has length {len(r)}, expected {arity}")
-        if any(b not in (0, 1) for b in r):
-            raise ValueError(f"row {r!r} contains non-bit entries")
-    return rows
+            raise ValueError(f"row {r!r} has length {len(r)}, expected {arity}")
+        try:
+            rows.add(int(bytes(r).translate(_DIGITS)[::-1], 2) if arity else 0)
+        except (TypeError, ValueError):
+            raise ValueError(f"row {r!r} contains non-bit entries") from None
+    return frozenset(rows)
 
 
-@dataclass(frozen=True)
+def _strings(f: "Signature") -> list:
+    """The support rows as 0/1 strings, variable ``arity`` first."""
+    if not f.arity:
+        return [""] * len(f.rows)
+    fmt = f"0{f.arity}b"
+    return [format(r, fmt) for r in f.rows]
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Signature:
     """A 0-1 constraint function given by its arity and support set.
 
-    Arity 0 is legal: support {()} is the scalar 1, empty support the scalar 0.
+    ``rows`` holds the support rows packed into ints, bit i for variable
+    i+1; equality and hashing use arity and rows.  The constructor takes the
+    support as 0/1 sequences of length ``arity``.  Arity 0 is legal: support
+    {()} is the scalar 1, empty support the scalar 0.
     """
 
     arity: int
-    support: frozenset = field(default_factory=frozenset)
+    rows: frozenset
+    _support: frozenset | None = field(compare=False)  # tuple view, once built
 
-    def __post_init__(self):
-        if self.arity < 0:
+    def __init__(self, arity: int, support: Iterable = frozenset()):
+        if arity < 0:
             raise ValueError("arity must be nonnegative")
-        object.__setattr__(self, "support", _check_rows(self.arity, self.support))
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "rows", _pack_rows(arity, support))
+        object.__setattr__(self, "_support", None)
+
+    @classmethod
+    def _packed(cls, arity: int, rows: frozenset) -> "Signature":
+        """A signature of ints already packed below ``1 << arity``, unchecked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "arity", arity)
+        object.__setattr__(f, "rows", rows)
+        object.__setattr__(f, "_support", None)
+        return f
 
     @classmethod
     def from_strings(cls, rows: Iterable[str], arity: int | None = None) -> "Signature":
-        parsed = [parse_bits(r) for r in rows]
+        rows = list(rows)
+        packed = frozenset(_parse_row(r) for r in rows)
         if arity is None:
-            if not parsed:
+            if not rows:
                 raise ValueError("arity required for an empty support")
-            arity = len(parsed[0])
-        return cls(arity, frozenset(parsed))
+            arity = len(rows[0])
+        for r in rows:
+            if len(r) != arity:
+                raise ValueError(f"row {r} has length {len(r)}, expected {arity}")
+        return cls._packed(arity, packed)
+
+    def __repr__(self) -> str:
+        rows = sorted(s[::-1] for s in _strings(self))
+        return f"Signature.from_strings({rows!r}, arity={self.arity})"
+
+    @property
+    def support(self) -> frozenset:
+        """The support rows as bit vectors, variable 1 first; built on first
+        use and kept."""
+        view = self._support
+        if view is None:
+            view = frozenset(
+                tuple(s.encode().translate(_UNDIGITS)[::-1]) for s in _strings(self)
+            )
+            object.__setattr__(self, "_support", view)
+        return view
 
     def __contains__(self, bits) -> bool:
         return tuple(bits) in self.support
@@ -85,7 +139,7 @@ class Signature:
             raise IndexError(f"variable index {i} out of range 1..{self.arity}")
 
     def is_zero(self) -> bool:
-        return not self.support
+        return not self.rows
 
 
 SCALAR_ONE = Signature(0, frozenset({()}))
@@ -93,6 +147,43 @@ SCALAR_ZERO = Signature(0, frozenset())
 DELTA1 = Signature(1, frozenset({(1,)}))
 DELTA0 = Signature(1, frozenset({(0,)}))
 NEQ2 = Signature(2, frozenset({(0, 1), (1, 0)}))
+
+
+def column_masks(f: Signature) -> list:
+    """Column i+1 at index i, as an int with one bit per support row; the
+    rows take the same bit in every column."""
+    strings = _strings(f)
+    if not strings:
+        return [0] * f.arity
+    return [int("".join(col), 2) for col in zip(*strings)][::-1]
+
+
+def permute_columns(f: Signature, perm) -> Signature:
+    """Column j of the result is column perm[j] of ``f``, both 0-based."""
+    n = f.arity
+    if not n:
+        return f
+    # in a row's string, variable i + 1 is character n - 1 - i
+    pick = itemgetter(*(n - 1 - perm[j] for j in reversed(range(n))))
+    return Signature._packed(
+        n, frozenset(int("".join(pick(s)), 2) for s in _strings(f))
+    )
+
+
+def _compress(rows: frozenset, keep: int) -> frozenset:
+    """The bits of each row at the set bits of ``keep``, moved down in order
+    to bits 0, 1, ..."""
+    runs = []  # (shift, width mask, destination) per run of kept bits
+    dest = 0
+    while keep:
+        shift = (keep & -keep).bit_length() - 1
+        width = ((keep >> shift) ^ ((keep >> shift) + 1)).bit_length() - 1
+        runs.append((shift, (1 << width) - 1, dest))
+        keep ^= ((1 << width) - 1) << shift
+        dest += width
+    return frozenset(
+        sum(((r >> s) & m) << d for s, m, d in runs) for r in rows
+    )
 
 
 @dataclass(frozen=True)
@@ -146,20 +237,26 @@ def is_eo(f: Signature) -> bool:
     if f.arity % 2:
         return False
     half = f.arity // 2
-    return all(wt(r) == half for r in f.support)
+    return all(r.bit_count() == half for r in f.rows)
 
 
 def pin(f: Signature, i: int, b: int) -> Signature:
     """Fix variable i to bit b and drop it; arity decreases by one."""
     f._check_index(i)
-    keep = (r[: i - 1] + r[i:] for r in f.support if r[i - 1] == b)
-    return Signature(f.arity - 1, frozenset(keep))
+    bit = 1 << (i - 1)
+    low, want = bit - 1, b * bit
+    return Signature._packed(
+        f.arity - 1,
+        frozenset((r & low) | (r >> 1 & ~low) for r in f.rows if (r & bit) == want),
+    )
 
 
 def extract(f: Signature, i: int, b: int) -> Signature:
     """Keep rows with bit b at position i; arity is unchanged."""
     f._check_index(i)
-    return Signature(f.arity, frozenset(r for r in f.support if r[i - 1] == b))
+    bit = 1 << (i - 1)
+    want = b * bit
+    return Signature._packed(f.arity, frozenset(r for r in f.rows if (r & bit) == want))
 
 
 def pin2(f: Signature, i: int, j: int, a: int, b: int) -> Signature:
@@ -168,14 +265,12 @@ def pin2(f: Signature, i: int, j: int, a: int, b: int) -> Signature:
         raise IndexError("pin2 requires two distinct variables")
     f._check_index(i)
     f._check_index(j)
-    lo, hi = sorted((i, j))
-    want = {i: a, j: b}
-    keep = (
-        r[: lo - 1] + r[lo : hi - 1] + r[hi:]
-        for r in f.support
-        if r[i - 1] == want[i] and r[j - 1] == want[j]
+    bi, bj = 1 << (i - 1), 1 << (j - 1)
+    mask, want = bi | bj, a * bi | b * bj
+    keep = ((1 << f.arity) - 1) ^ mask
+    return Signature._packed(
+        f.arity - 2, _compress(frozenset(r for r in f.rows if (r & mask) == want), keep)
     )
-    return Signature(f.arity - 2, frozenset(keep))
 
 
 def loop_diseq(f, i: int, j: int) -> WeightedSignature:
@@ -212,21 +307,33 @@ def connect(f, i: int, g, j: int) -> WeightedSignature:
 
 def tensor(f: Signature, g: Signature) -> Signature:
     """Tensor product: all concatenations of a row of f with a row of g."""
-    return Signature(
-        f.arity + g.arity, frozenset(a + b for a in f.support for b in g.support)
+    n = f.arity
+    return Signature._packed(
+        n + g.arity, frozenset(a | b << n for a in f.rows for b in g.rows)
     )
 
 
 def complement(f: Signature) -> Signature:
     """Flip every bit of every support row."""
-    return Signature(f.arity, frozenset(bits_complement(r) for r in f.support))
+    full = (1 << f.arity) - 1
+    return Signature._packed(f.arity, frozenset(r ^ full for r in f.rows))
 
 
 def hat(f: Signature) -> Signature:
     """Symmetric difference of the support with the all-1 vector."""
     if f.arity < 1:
         raise ValueError("hat undefined for arity 0")
-    return Signature(f.arity, f.support ^ {(1,) * f.arity})
+    return Signature._packed(f.arity, f.rows ^ {(1 << f.arity) - 1})
+
+
+def _positions(mask: int) -> list:
+    """1-based indices of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
 
 
 def delta_factors(f: Signature) -> tuple:
@@ -235,32 +342,28 @@ def delta_factors(f: Signature) -> tuple:
     The nonzero-signature factor notion does not apply to an empty support,
     so that case is rejected.
     """
-    if not f.support:
+    if not f.rows:
         raise ValueError("delta_factors requires a nonempty support")
-    ones, zeros = [], []
-    for i in range(1, f.arity + 1):
-        col = {r[i - 1] for r in f.support}
-        if col == {1}:
-            ones.append(i)
-        elif col == {0}:
-            zeros.append(i)
-    return ones, zeros
+    ones = reduce(and_, f.rows)
+    zeros = ((1 << f.arity) - 1) ^ reduce(or_, f.rows)
+    return _positions(ones), _positions(zeros)
 
 
 def strip_columns(f: Signature, drop: Iterable[int]) -> Signature:
     """Delete the listed columns (1-based) from every support row."""
-    drop = set(drop)
-    keep = [i for i in range(1, f.arity + 1) if i not in drop]
-    return Signature(
-        len(keep), frozenset(tuple(r[i - 1] for i in keep) for r in f.support)
-    )
+    keep = (1 << f.arity) - 1
+    for i in set(drop):
+        if 1 <= i <= f.arity:
+            keep ^= 1 << (i - 1)
+    return Signature._packed(keep.bit_count(), _compress(f.rows, keep))
 
 
 def m_multiple(f: Signature, m: int) -> Signature:
     """Each support row repeated as an m-fold concatenation."""
     if m < 1:
         raise ValueError("m must be positive")
-    return Signature(f.arity * m, frozenset(r * m for r in f.support))
+    repeat = sum(1 << (j * f.arity) for j in range(m))  # one bit per copy
+    return Signature._packed(f.arity * m, frozenset(r * repeat for r in f.rows))
 
 
 def multiple_decompose(f: Signature) -> tuple:
@@ -270,41 +373,34 @@ def multiple_decompose(f: Signature) -> tuple:
     groups in first-occurrence order.  If identical columns do not come in
     equally sized groups, returns m=1 with base=f and singleton groups.
     """
-    if not f.support:
+    if not f.rows:
         raise ValueError("multiple_decompose requires a nonempty support")
-    rows = f.rows_sorted()
-    seen: dict = {}
-    order = []
-    for i in range(1, f.arity + 1):
-        col = tuple(r[i - 1] for r in rows)
-        if col not in seen:
-            seen[col] = []
-            order.append(col)
-        seen[col].append(i)
-    groups = [seen[c] for c in order]
+    by_column: dict = {}
+    for i, col in enumerate(column_masks(f), 1):
+        by_column.setdefault(col, []).append(i)
+    groups = list(by_column.values())
     sizes = {len(g) for g in groups}
     if len(sizes) != 1 or sizes == {1}:
         return f, 1, [[i] for i in range(1, f.arity + 1)]
     (m,) = sizes
-    reps = [g[0] for g in groups]
-    base = Signature(
-        len(reps), frozenset(tuple(r[i - 1] for i in reps) for r in f.support)
-    )
-    return base, m, groups
+    # first members ascend, so the base keeps them in group order
+    keep = sum(1 << (g[0] - 1) for g in groups)
+    return Signature._packed(len(groups), _compress(f.rows, keep)), m, groups
 
 
 # -- text format ------------------------------------------------------------
 
 def signature_to_text(f: Signature) -> str:
     """One row per line; an `arity N` header only when the support is empty."""
-    if not f.support:
+    if not f.rows:
         return f"arity {f.arity}\n"
-    return "".join(bits_str(r) + "\n" for r in f.rows_sorted())
+    return "".join(s + "\n" for s in sorted(s[::-1] for s in _strings(f)))
 
 
 def signature_from_text(text: str) -> Signature:
     arity = None
-    rows = []
+    width = None
+    rows = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -315,32 +411,42 @@ def signature_from_text(text: str) -> Signature:
                 raise FormatError(f"line {lineno}: bad arity header {raw!r}")
             arity = int(parts[1])
             continue
-        rows.append(parse_bits(line))
-    if rows:
-        lengths = {len(r) for r in rows}
-        if len(lengths) != 1:
+        rows.add(_parse_row(line))
+        if width is None:
+            width = len(line)
+        elif len(line) != width:
             raise FormatError("rows have unequal lengths")
-        (n,) = lengths
-        if arity is not None and arity != n:
-            raise FormatError(f"arity header {arity} does not match row length {n}")
-        arity = n
+    if width is not None:
+        if arity is not None and arity != width:
+            raise FormatError(f"arity header {arity} does not match row length {width}")
+        arity = width
     elif arity is None:
         raise FormatError("empty support requires an `arity N` header")
-    return Signature(arity, frozenset(rows))
+    return Signature._packed(arity, frozenset(rows))
 
 
 def enumerate_eo_supports(arity: int, max_support: int | None = None):
-    """All EO supports of the given arity as an iterator of Signatures.
+    """All EO supports of the given arity, at most ``max_support`` rows each,
+    as an iterator of Signatures.
 
-    Used by the kernel census; the subset count is 2^C(arity, arity/2).
+    Used by the kernel census.  With V = C(arity, arity/2) half-weight
+    vectors there are sum C(V, s) such supports; more than
+    ``MAX_ENUMERATED_SUPPORTS`` raises SizeCapExceeded before any is made.
     """
-    if arity % 2:
+    if arity < 0 or arity % 2:
         raise ValueError("EO signatures have even arity")
     half = arity // 2
-    vectors = [
-        v for v in itertools.product((0, 1), repeat=arity) if wt(v) == half
-    ]
-    top = len(vectors) if max_support is None else min(max_support, len(vectors))
-    for size in range(top + 1):
-        for combo in itertools.combinations(vectors, size):
-            yield Signature(arity, frozenset(combo))
+    nvec = math.comb(arity, half)
+    top = nvec if max_support is None else min(max_support, nvec)
+    total = sum(math.comb(nvec, size) for size in range(top + 1))
+    if total > MAX_ENUMERATED_SUPPORTS:
+        raise SizeCapExceeded(
+            f"{total} EO supports of arity {arity} exceed the cap of "
+            f"{MAX_ENUMERATED_SUPPORTS}; limit the support size"
+        )
+    vectors = [v for v in range(1 << arity) if v.bit_count() == half]
+    return (
+        Signature._packed(arity, frozenset(combo))
+        for size in range(top + 1)
+        for combo in itertools.combinations(vectors, size)
+    )

@@ -1,9 +1,11 @@
-"""Random signatures and instances shared by the tests."""
+"""Random signatures and instances shared by the tests, and bit-vector
+references for the packed signature operations."""
 
 import random
 
 from eocount import Instance, Signature, complement
 from eocount.affine import gf2_eliminate
+from eocount.signatures import bits_str
 
 
 def gauss_jordan(rows, ncols: int) -> list:
@@ -111,3 +113,79 @@ def complemented(inst: Instance) -> Instance:
         vertices=inst.vertices,
         edges=inst.edges,
     )
+
+
+def permute_columns(f: Signature, perm) -> Signature:
+    """Column j of the result is column perm[j] of ``f`` (0-based)."""
+    return Signature(
+        f.arity, frozenset(tuple(r[p] for p in perm) for r in f.support)
+    )
+
+
+# -- bit-vector references ----------------------------------------------------
+# Each operation on (arity, frozenset of 0/1 tuples), written directly on the
+# tuples; the packed operations of ``eocount.signatures`` must agree.
+
+def ref_pin(n, sup, i, b):
+    return n - 1, frozenset(r[: i - 1] + r[i:] for r in sup if r[i - 1] == b)
+
+
+def ref_pin2(n, sup, i, j, a, b):
+    lo, hi = sorted((i, j))
+    return n - 2, frozenset(
+        r[: lo - 1] + r[lo : hi - 1] + r[hi:]
+        for r in sup
+        if r[i - 1] == a and r[j - 1] == b
+    )
+
+
+def ref_extract(n, sup, i, b):
+    return n, frozenset(r for r in sup if r[i - 1] == b)
+
+
+def ref_complement(n, sup):
+    return n, frozenset(tuple(1 - x for x in r) for r in sup)
+
+
+def ref_hat(n, sup):
+    return n, sup ^ {(1,) * n}
+
+
+def ref_tensor(n, sup, n2, sup2):
+    return n + n2, frozenset(a + b for a in sup for b in sup2)
+
+
+def ref_m_multiple(n, sup, m):
+    return n * m, frozenset(r * m for r in sup)
+
+
+def ref_strip_columns(n, sup, drop):
+    keep = [i for i in range(n) if i + 1 not in drop]
+    return len(keep), frozenset(tuple(r[i] for i in keep) for r in sup)
+
+
+def ref_delta_factors(n, sup):
+    cols = [{r[i] for r in sup} for i in range(n)]
+    return ([i + 1 for i, c in enumerate(cols) if c == {1}],
+            [i + 1 for i, c in enumerate(cols) if c == {0}])
+
+
+def ref_multiple_decompose(n, sup):
+    """((arity, support) of the base, m, groups of identical columns)."""
+    rows = sorted(sup)
+    groups: dict = {}
+    for i in range(n):
+        groups.setdefault(tuple(r[i] for r in rows), []).append(i + 1)
+    groups = list(groups.values())
+    sizes = {len(g) for g in groups}
+    if len(sizes) != 1 or sizes == {1}:
+        return (n, sup), 1, [[i] for i in range(1, n + 1)]
+    reps = [g[0] for g in groups]
+    base = frozenset(tuple(r[i - 1] for i in reps) for r in sup)
+    return (len(reps), base), len(groups[0]), groups
+
+
+def ref_text(n, sup):
+    if not sup:
+        return f"arity {n}\n"
+    return "".join(bits_str(r) + "\n" for r in sorted(sup))

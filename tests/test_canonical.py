@@ -8,14 +8,10 @@ from eocount.errors import SizeCapExceeded
 from eocount.hadamard import basic_kernel, butterfly
 from eocount.signatures import DELTA0, DELTA1
 
+from helpers import permute_columns
+
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 G2 = Signature.from_strings(["0011", "0101", "0110"])
-
-
-def permute_columns(f: Signature, perm) -> Signature:
-    return Signature(
-        f.arity, frozenset(tuple(r[p] for p in perm) for r in f.support)
-    )
 
 
 def reference_canonical(f: Signature) -> Signature:

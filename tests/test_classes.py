@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from eocount import (
@@ -14,7 +16,7 @@ from eocount import (
     m_multiple,
     tensor,
 )
-from eocount import classes
+from eocount import canonical, canonical_form, classes
 from eocount.classes import KernelKind, direct_d1_kernel
 from eocount.errors import BudgetExceeded, StructureViolation
 from eocount.hadamard import Polarity, balanced_code, basic_kernel, butterfly
@@ -25,6 +27,8 @@ from eocount.signatures import (
     enumerate_eo_supports,
     strip_columns,
 )
+
+from helpers import permute_columns
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 G2 = Signature.from_strings(["0011", "0101", "0110"])
@@ -47,6 +51,43 @@ def test_in_d1_budget_counts_memo_entries_not_arity(monkeypatch):
     deep = tensor(tensor(basic_kernel(2), basic_kernel(2)), basic_kernel(2))
     with pytest.raises(BudgetExceeded):
         in_d1(deep)  # arity 12, 13 new memo entries
+
+
+def test_memo_and_canonical_cache_stay_bounded(monkeypatch):
+    rng = random.Random(3)
+    bases = [basic_kernel(3), m_multiple(basic_kernel(2), 2), butterfly(2), F2,
+             tensor(tensor(basic_kernel(2), basic_kernel(2)), DELTA1)]
+    copies = []
+    for f in bases:
+        for _ in range(8):
+            perm = list(range(f.arity))
+            rng.shuffle(perm)
+            copies.append(permute_columns(f, perm))
+
+    def fresh_tables():
+        monkeypatch.setattr(classes, "_d1_memo", {})
+        monkeypatch.setattr(canonical, "_cache", {})
+
+    # answers, and the memo entries each copy adds to an empty memo: with a
+    # warm memo it adds no more
+    want, grows = [], []
+    for g in copies:
+        fresh_tables()
+        want.append((classify(g), canonical_form(g)))
+        grows.append(len(classes._d1_memo))
+    fresh_tables()
+    for g in copies:
+        classify(g), canonical_form(g)
+    unbounded = len(classes._d1_memo), len(canonical._cache)
+
+    fresh_tables()
+    monkeypatch.setattr(classes, "MEMO_CAP", 8)
+    monkeypatch.setattr(canonical, "CACHE_CAP", 4)
+    for g, answer, grow in zip(copies, want, grows):
+        assert (classify(g), canonical_form(g)) == answer
+        assert len(classes._d1_memo) <= 8 + grow
+        assert len(canonical._cache) <= 4
+    assert unbounded[0] > 8 + max(grows) and unbounded[1] > 4
 
 
 def test_in_d1_rejects_non_eo():

@@ -15,7 +15,7 @@ from eocount import (
     tensor,
     validate,
 )
-from eocount import engine
+from eocount import canonical, canonical_form, classes, classify, engine, kernel_structure
 from eocount.engine import gadget_demo_hardness
 from eocount.errors import InstanceError
 from eocount.hadamard import Polarity, basic_kernel, butterfly
@@ -225,6 +225,33 @@ def test_affine_solve_classifies_each_label_once(monkeypatch):
     assert res.method is Method.AFFINE and res.count >= 1
     assert calls["is_affine"] <= len(labels)
     assert calls["affine_system"] <= len(labels)
+
+
+def test_solvers_and_classifiers_never_build_the_tuple_view(monkeypatch):
+    rng = random.Random(12)
+    chain = planted_instance(rng, CHAIN_POOL, 40)
+    affine_pool = [NEQ2] + [random_affine_eo(rng, h) for h in (2, 3)]
+    affine = planted_instance(rng, affine_pool, 30)
+    kernel = m_multiple(basic_kernel(5), 2)
+    reads = 0
+    view = Signature.support
+
+    def counted(self):
+        nonlocal reads
+        reads += 1
+        return view.fget(self)
+
+    monkeypatch.setattr(Signature, "support", property(counted))
+    monkeypatch.setattr(classes, "_d1_memo", {})
+    monkeypatch.setattr(canonical, "_cache", {})
+    assert solve(chain).method is Method.CHAIN_D1
+    assert solve(complemented(chain)).method is Method.CHAIN_D0
+    assert solve(affine).method is Method.AFFINE
+    assert classify(kernel).kernel_info.m == 2
+    assert kernel_structure(kernel).k == 5
+    assert canonical_form(kernel).arity == 64
+    assert reads == 0
+    assert kernel.support and reads == 1  # the patch counts reads
 
 
 def test_solve_arity_64_kernel_label():

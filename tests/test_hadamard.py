@@ -46,6 +46,20 @@ def test_hadamard_code_shapes():
     assert (1,) * 4 in hadamard_code(2, Polarity.ONE).support
 
 
+def test_codes_read_their_definitions():
+    for k in range(0, 6):
+        entries = sylvester(k).entries
+        for variant, hit in ((Polarity.ONE, 1), (Polarity.ZERO, 0)):
+            want = {tuple(hit if e > 0 else 1 - hit for e in row) for row in entries}
+            assert hadamard_code(k, variant).support == want
+    for k in range(1, 5):
+        # row a: bit m is the parity of a & m, then the complement of that
+        half = range(1 << k)
+        left = [tuple(bin(a & m).count("1") % 2 for m in half) for a in half]
+        want = {r + tuple(1 - b for b in r) for r in left}
+        assert butterfly(k).support == want
+
+
 def test_balanced_code_drops_constant_word():
     for k in (1, 2, 3, 4):
         for variant in Polarity:

@@ -145,6 +145,25 @@ def test_cli_census():
     assert "supports=64" in out and "disagree=0" in out
 
 
+def test_cli_census_odd_arity_is_an_error(capsys):
+    assert main(["census", "--arity", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_census_refuses_too_many_supports_before_enumerating(capsys):
+    # arity 8 has 70 half-weight vectors, so 2^70 supports
+    assert main(["census", "--arity", "8"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_census_arity_8_with_max_support():
+    code, out = run_cli(
+        ["census", "--arity", "8", "--max-support", "3", "--format", "kv"]
+    )
+    assert code == 0
+    assert "supports=57226" in out and "disagree=0" in out
+
+
 def test_cli_bad_input_exit_code(tmp_path):
     bad = tmp_path / "bad.eo"
     bad.write_text("not a section\n")

@@ -28,8 +28,11 @@ from eocount.signatures import (
     WeightedSignature,
     connect,
     loop_diseq,
+    permute_columns,
     wt,
 )
+
+import helpers
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 G2 = Signature.from_strings(["0011", "0101", "0110"])
@@ -194,3 +197,68 @@ def test_tensor_support_sizes(f, g):
     assert t.arity == f.arity + g.arity
     assert len(t.support) == len(f.support) * len(g.support)
     assert all(wt(r) == wt(r[: f.arity]) + wt(r[f.arity :]) for r in t.support)
+
+
+def bit_supports(max_arity=10):
+    """(arity, support as a frozenset of 0/1 tuples), arity 0 and the empty
+    support included."""
+    return st.integers(0, max_arity).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.frozensets(st.tuples(*([st.integers(0, 1)] * n)), max_size=12),
+        )
+    )
+
+
+def view(f):
+    return f.arity, f.support
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_supports(), st.data())
+def test_packed_operations_match_bit_vector_references(case, data):
+    n, sup = case
+    f = Signature(n, sup)
+    assert view(f) == (n, sup)
+    assert is_eo(f) == (n % 2 == 0 and all(2 * wt(r) == n for r in sup))
+    assert view(complement(f)) == helpers.ref_complement(n, sup)
+    m = data.draw(st.integers(1, 3))
+    assert view(m_multiple(f, m)) == helpers.ref_m_multiple(n, sup, m)
+    drop = data.draw(st.sets(st.integers(1, n))) if n else set()
+    assert view(strip_columns(f, drop)) == helpers.ref_strip_columns(n, sup, drop)
+    perm = data.draw(st.permutations(range(n)))
+    assert permute_columns(f, perm) == helpers.permute_columns(f, perm)
+    text = signature_to_text(f)
+    assert text == helpers.ref_text(n, sup)
+    if n or not sup:  # the scalar 1 has no text form: its one row is empty
+        assert signature_from_text(text) == f
+    if n:
+        assert view(hat(f)) == helpers.ref_hat(n, sup)
+        i, b = data.draw(st.integers(1, n)), data.draw(st.integers(0, 1))
+        assert view(pin(f, i, b)) == helpers.ref_pin(n, sup, i, b)
+        assert view(extract(f, i, b)) == helpers.ref_extract(n, sup, i, b)
+    if n >= 2:
+        i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                                  unique=True))
+        a, b = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+        want = helpers.ref_pin2(n, sup, i, j, a, b)
+        assert view(pin2(f, i, j, a, b)) == want
+        assert view(pin2(f, j, i, b, a)) == want
+    if not sup:
+        with pytest.raises(ValueError):
+            delta_factors(f)
+        with pytest.raises(ValueError):
+            multiple_decompose(f)
+        return
+    assert delta_factors(f) == helpers.ref_delta_factors(n, sup)
+    for g, gsup in ((f, sup), (m_multiple(f, m), helpers.ref_m_multiple(n, sup, m)[1])):
+        base, k, groups = multiple_decompose(g)
+        want_base, want_k, want_groups = helpers.ref_multiple_decompose(g.arity, gsup)
+        assert (view(base), k, groups) == (want_base, want_k, want_groups)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bit_supports(6), bit_supports(6))
+def test_packed_tensor_matches_reference(left, right):
+    f, g = Signature(*left), Signature(*right)
+    assert view(tensor(f, g)) == helpers.ref_tensor(*left, *right)
