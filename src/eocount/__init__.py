@@ -3,8 +3,9 @@
 The package models 0-1 signatures supported on half-weight vectors,
 detects the tractable families (affine signatures and both one-sided
 delta closures), characterizes the irreducible kernels as multiples of
-balanced Hadamard codes, and counts instances either by the chain
-reaction solver or by brute force.
+balanced Hadamard codes, and counts instances by Gaussian elimination, by
+the chain reaction solver, or, when the labels mix both polarities, by an
+exact contraction along a narrow cut.
 """
 
 from .affine import AffineSystem, affine_system, is_affine

@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("verify", help="cross-check the chosen solver against brute force")
+    p = sub.add_parser("verify", help="cross-check the chosen solver against the exact contraction count")
     p.add_argument("file")
     add_format(p)
     p.set_defaults(func=_cmd_verify)

@@ -1,5 +1,5 @@
-"""The #EO instance model and its solvers: brute-force enumeration, the
-Gaussian affine solver, and the chain-reaction reduction.
+"""The #EO instance model and its solvers: the exact cut-contraction count,
+the Gaussian affine solver, and the chain-reaction reduction.
 
 Edges are implicit disequalities: the two endpoints of an edge always take
 complementary bits (orientation = which side got the 1).
@@ -104,29 +104,85 @@ def _endpoint_map(inst: Instance) -> dict:
     return out
 
 
+def _cut_order(inst: Instance, labels: dict) -> tuple:
+    """(vertex order, widest cut): greedily the vertex that grows the cut
+    least next, ties by instance order.  Taking a vertex opens its edges to
+    vertices not yet taken and closes those to vertices already taken; its
+    self-loops leave the cut unchanged."""
+    partners: dict = {v: [] for v in labels}
+    for (va, _), (vb, _) in inst.edges:
+        if va != vb:
+            partners.get(va, []).append(vb)
+            partners.get(vb, []).append(va)
+    growth = {v: len(p) for v, p in partners.items()}
+    left = list(labels)
+    order, cut, widest = [], 0, 0
+    while left:
+        v = min(left, key=growth.__getitem__)
+        left.remove(v)
+        order.append(v)
+        cut += growth.pop(v)
+        widest = max(widest, cut)
+        for w in partners[v]:
+            if w in growth:
+                growth[w] -= 2  # an opening edge of w becomes a closing one
+    return order, widest
+
+
 def brute_force(inst: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult:
-    """Sum over all 2^|edges| orientations; the side holding the tail gets
-    bit 1, the head bit 0."""
-    ne = len(inst.edges)
-    if ne > cap:
-        raise InstanceError(f"{ne} edges exceeds brute-force cap {cap}")
+    """Exact count by contracting the vertices one at a time along a cut.
+
+    Orientation bit e is 1 when the first endpoint of edge e holds the 1.
+    After some vertices are contracted, the state maps each orientation of
+    the cut edges (exactly one endpoint contracted) to the number of
+    orientations of the edges behind the cut that every contracted label
+    accepts.  The order is greedy (see ``_cut_order``), and with w its
+    widest cut the work is at most 2^w states per vertex instead of the
+    2^|edges| orientations.  ``cap`` bounds w, not the edge count: an order
+    whose widest cut exceeds it raises InstanceError before any table is
+    built.
+    """
     labels = inst.labels()
+    order, widest = _cut_order(inst, labels)
+    if widest > cap:
+        raise InstanceError(f"cut width {widest} exceeds brute-force cap {cap}")
     ep = _endpoint_map(inst)
-    # per vertex: packed rows, (edge, slot bit) per slot, and the slots that
-    # sit on the second endpoint of their edge, whose bits are flipped
-    plan = []
-    for v, sig in labels.items():
-        slots = [ep[(v, s)] for s in range(1, sig.arity + 1)]
-        flip = sum(side << k for k, (_, side) in enumerate(slots))
-        plan.append((sig.rows, [(e, k) for k, (e, _) in enumerate(slots)], flip))
-    total = 0
-    for x in range(1 << ne):
-        for rows, bits, flip in plan:
-            if sum(((x >> e) & 1) << k for e, k in bits) ^ flip not in rows:
-                break
-        else:
-            total += 1
-    return CountResult(total, Method.BRUTE)
+    taken: set = set()
+    states = {0: 1}
+    for v in order:
+        sig = labels[v]
+        closing, opening, loops = [], [], {}
+        for k in range(sig.arity):
+            e, side = ep[(v, k + 1)]
+            w = inst.edges[e][1 - side][0]
+            if w == v:
+                loops.setdefault(e, []).append(k)
+            else:
+                (closing if w in taken else opening).append((k, e, side))
+        taken.add(v)
+        # per support row: its orientation bits on the closing edges -> its
+        # bits on the opening edges -> multiplicity (the self-loop choices)
+        table: dict = {}
+        for r in sig.rows:
+            if any((r >> k ^ r >> j ^ 1) & 1 for k, j in loops.values()):
+                continue  # a self-loop joins a 1 to a 0
+            key = sum(((r >> k & 1) ^ side) << e for k, e, side in closing)
+            bits = sum(((r >> k & 1) ^ side) << e for k, e, side in opening)
+            hits = table.setdefault(key, {})
+            hits[bits] = hits.get(bits, 0) + 1
+        mask = sum(1 << e for _, e, _ in closing)
+        nxt: dict = {}
+        for s, c in states.items():
+            hits = table.get(s & mask)
+            if hits:
+                rest = s & ~mask
+                for bits, m in hits.items():
+                    t = rest | bits
+                    nxt[t] = nxt.get(t, 0) + c * m
+        if not nxt:
+            return CountResult(0, Method.BRUTE)
+        states = nxt
+    return CountResult(sum(states.values()), Method.BRUTE)
 
 
 def solve_affine(inst: Instance) -> CountResult:

@@ -390,10 +390,17 @@ def multiple_decompose(f: Signature) -> tuple:
 
 # -- text format ------------------------------------------------------------
 
+# The text form of the empty row, the one support row of the scalar 1
+EMPTY_ROW = "-"
+
+
 def signature_to_text(f: Signature) -> str:
-    """One row per line; an `arity N` header only when the support is empty."""
+    """One row per line; an `arity N` header only when the support is empty,
+    and `-` for the empty row of the scalar 1."""
     if not f.rows:
         return f"arity {f.arity}\n"
+    if not f.arity:
+        return EMPTY_ROW + "\n"
     return "".join(s + "\n" for s in sorted(s[::-1] for s in _strings(f)))
 
 
@@ -411,6 +418,8 @@ def signature_from_text(text: str) -> Signature:
                 raise FormatError(f"line {lineno}: bad arity header {raw!r}")
             arity = int(parts[1])
             continue
+        if line == EMPTY_ROW:
+            line = ""
         rows.add(_parse_row(line))
         if width is None:
             width = len(line)

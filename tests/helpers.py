@@ -4,6 +4,7 @@ references for the packed signature operations."""
 import random
 
 from eocount import Instance, Signature, complement
+from eocount.engine import _endpoint_map
 from eocount.affine import gf2_eliminate
 from eocount.signatures import bits_str
 
@@ -24,6 +25,29 @@ def gauss_jordan(rows, ncols: int) -> list:
                 m[i] = [x ^ y for x, y in zip(m[i], m[top])]
         top += 1
     return [sum(b << c for c, b in enumerate(row)) for row in m[:top]]
+
+
+def ref_brute_force(inst: Instance) -> int:
+    """Count by summing over all 2^|edges| orientations; the side holding
+    the tail gets bit 1, the head bit 0.  A reference for ``brute_force``."""
+    ne = len(inst.edges)
+    labels = inst.labels()
+    ep = _endpoint_map(inst)
+    # per vertex: packed rows, (edge, slot bit) per slot, and the slots that
+    # sit on the second endpoint of their edge, whose bits are flipped
+    plan = []
+    for v, sig in labels.items():
+        slots = [ep[(v, s)] for s in range(1, sig.arity + 1)]
+        flip = sum(side << k for k, (_, side) in enumerate(slots))
+        plan.append((sig.rows, [(e, k) for k, (e, _) in enumerate(slots)], flip))
+    total = 0
+    for x in range(1 << ne):
+        for rows, bits, flip in plan:
+            if sum(((x >> e) & 1) << k for e, k in bits) ^ flip not in rows:
+                break
+        else:
+            total += 1
+    return total
 
 
 def random_affine_eo(rng: random.Random, half: int) -> Signature:
@@ -188,4 +212,4 @@ def ref_multiple_decompose(n, sup):
 def ref_text(n, sup):
     if not sup:
         return f"arity {n}\n"
-    return "".join(bits_str(r) + "\n" for r in sorted(sup))
+    return "".join((bits_str(r) or "-") + "\n" for r in sorted(sup))

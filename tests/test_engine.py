@@ -1,9 +1,14 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eocount import (
     NEQ2,
+    SCALAR_ONE,
+    SCALAR_ZERO,
     Instance,
     Method,
     Signature,
@@ -16,12 +21,18 @@ from eocount import (
     validate,
 )
 from eocount import canonical, canonical_form, classes, classify, engine, kernel_structure
-from eocount.engine import gadget_demo_hardness
+from eocount.engine import DEFAULT_BRUTE_CAP, gadget_demo_hardness
 from eocount.errors import InstanceError
 from eocount.hadamard import Polarity, basic_kernel, butterfly
 from eocount.signatures import DELTA0, DELTA1, bits_str, m_multiple
 
-from helpers import complemented, planted_instance, random_affine_eo, random_instance
+from helpers import (
+    complemented,
+    planted_instance,
+    random_affine_eo,
+    random_instance,
+    ref_brute_force,
+)
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 G2 = Signature.from_strings(["0011", "0101", "0110"])
@@ -333,3 +344,108 @@ def test_affine_solver_vs_brute_randomized(rng):
             continue
         trials += 1
         assert solve_affine(inst).count == brute_force(inst).count
+
+
+# -- brute_force against the 2^|edges| enumeration ----------------------------
+
+NON_EO = Signature.from_strings(["11", "10"])
+ORACLE_POOL = CHAIN_POOL + [
+    F2, G2, complement(basic_kernel(2)), SCALAR_ONE, SCALAR_ZERO, NON_EO,
+    Signature(2, frozenset()),
+]
+PLANTED_POOL = CHAIN_POOL + [complement(f) for f in CHAIN_POOL] + [F2, G2]
+
+
+def single(name, sig, edges):
+    return Instance({name: sig}, (("v1", name),), edges)
+
+
+@st.composite
+def oracle_instances(draw, max_edges=14):
+    """Up to ``max_edges`` edges: a planted wiring of EO labels, or a random
+    wiring (self-loops included) of labels that may be arity 0, zero or not
+    EO."""
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32 - 1))
+        edges = draw(st.integers(0, max_edges))
+        return planted_instance(random.Random(seed), PLANTED_POOL, edges)
+    names, verts, slots = {}, [], []
+    for i, sig in enumerate(draw(st.lists(st.sampled_from(ORACLE_POOL), max_size=8))):
+        if len(slots) + sig.arity > 2 * max_edges:
+            break
+        name = f"s{ORACLE_POOL.index(sig)}"
+        names[name] = sig
+        verts.append((f"v{i}", name))
+        slots += [(f"v{i}", j) for j in range(1, sig.arity + 1)]
+    slots = draw(st.permutations(slots))
+    edges = tuple(zip(slots[::2], slots[1::2]))
+    return Instance(names, tuple(verts), edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_instances())
+@example(Instance({}, (), ()))
+@example(Instance({"one": SCALAR_ONE}, (("c", "one"),), ()))
+@example(Instance({"zero": SCALAR_ZERO}, (("c", "zero"),), ()))
+@example(single("d", D1D0, ((("v1", 1), ("v1", 2)),)))
+@example(single("n", NEQ2, ((("v1", 2), ("v1", 1)),)))
+@example(single("b", NON_EO, ((("v1", 1), ("v1", 2)),)))
+@example(single("z", Signature(2, frozenset()), ((("v1", 1), ("v1", 2)),)))
+def test_brute_force_matches_enumeration(inst):
+    assert brute_force(inst).count == ref_brute_force(inst)
+    flipped = complemented(inst)
+    assert brute_force(flipped).count == ref_brute_force(flipped)
+
+
+def test_brute_force_cap_bounds_the_cut_not_the_edges():
+    # 26 edges around a ring of NEQ2 labels: every cut is 2 edges wide
+    n = 26
+    inst = Instance(
+        {"neq": NEQ2},
+        tuple((f"v{i}", "neq") for i in range(n)),
+        tuple(((f"v{i}", 2), (f"v{(i + 1) % n}", 1)) for i in range(n)),
+    )
+    assert brute_force(inst, cap=2).count == 2
+    with pytest.raises(InstanceError, match="cut width 2"):
+        brute_force(inst, cap=1)
+
+
+# Random planted wiring widens the planned cut as the instance grows, to at
+# most 36 edges on these instances; the count stays cheap because only the
+# cut orientations that some support row reaches are kept.
+PAST_24_CAP = 48
+
+
+@pytest.mark.parametrize("edges", [30, 60, 100, 150])
+def test_brute_force_equals_solve_on_planted_past_24_edges(edges):
+    rng = random.Random(edges)
+    chain = planted_instance(rng, CHAIN_POOL, edges)
+    affine_pool = [NEQ2] + [random_affine_eo(rng, h) for h in (1, 2, 2, 3, 3)]
+    affine = planted_instance(rng, affine_pool, edges)
+    for inst in (chain, complemented(chain), affine, complemented(affine)):
+        res = solve(inst)
+        assert res.method is not Method.BRUTE
+        assert res.count >= 1
+        assert brute_force(inst, cap=PAST_24_CAP).count == res.count
+
+
+def disjoint_union(parts) -> Instance:
+    sigs, verts, edges = {}, [], []
+    for i, part in enumerate(parts):
+        tag = f"p{i}_"
+        sigs.update({tag + n: f for n, f in part.signatures.items()})
+        verts += [(tag + v, tag + n) for v, n in part.vertices]
+        edges += [((tag + va, sa), (tag + vb, sb)) for (va, sa), (vb, sb) in part.edges]
+    return Instance(sigs, tuple(verts), tuple(edges))
+
+
+def test_solve_counts_mixed_polarity_past_24_edges():
+    rng = random.Random(11)
+    parts = [planted_instance(rng, [NEQ2, F2, G2], 8) for _ in range(5)]
+    inst = disjoint_union(parts)
+    assert {F2, G2} <= set(inst.signatures.values())
+    assert len(inst.edges) > DEFAULT_BRUTE_CAP
+    res = solve(inst)
+    assert res.method is Method.BRUTE
+    assert res.count >= 1
+    assert res.count == math.prod(ref_brute_force(p) for p in parts)

@@ -4,6 +4,8 @@ from contextlib import redirect_stdout
 import pytest
 
 from eocount import (
+    SCALAR_ONE,
+    SCALAR_ZERO,
     Instance,
     Signature,
     instance_from_text,
@@ -47,6 +49,16 @@ def test_instance_roundtrip():
     again = instance_from_text(instance_to_text(inst))
     assert again.labels() == inst.labels()
     assert sorted(map(sorted, again.edges)) == sorted(map(sorted, inst.edges))
+
+
+def test_instance_roundtrip_with_scalar_labels():
+    inst = Instance(
+        signatures={"f2": F2, "one": SCALAR_ONE, "zero": SCALAR_ZERO},
+        vertices=(("v1", "f2"), ("c1", "one"), ("c0", "zero")),
+        edges=((("v1", 1), ("v1", 2)), (("v1", 3), ("v1", 4))),
+    )
+    again = instance_from_text(instance_to_text(inst))
+    assert again == inst
 
 
 def test_instance_parse_errors():

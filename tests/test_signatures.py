@@ -162,6 +162,18 @@ def test_text_empty_support_needs_header():
         signature_from_text("# nothing here\n")
 
 
+def test_text_scalars_round_trip():
+    assert signature_to_text(SCALAR_ONE) == "-\n"
+    assert signature_to_text(SCALAR_ZERO) == "arity 0\n"
+    for f in (SCALAR_ONE, SCALAR_ZERO):
+        assert signature_from_text(signature_to_text(f)) == f
+    assert signature_from_text("arity 0\n-\n") == SCALAR_ONE
+    with pytest.raises(FormatError):
+        signature_from_text("arity 2\n-\n")
+    with pytest.raises(FormatError):
+        signature_from_text("-\n10\n")
+
+
 def test_text_rejects_ragged_rows():
     with pytest.raises(FormatError):
         signature_from_text("110\n10\n")
@@ -230,8 +242,7 @@ def test_packed_operations_match_bit_vector_references(case, data):
     assert permute_columns(f, perm) == helpers.permute_columns(f, perm)
     text = signature_to_text(f)
     assert text == helpers.ref_text(n, sup)
-    if n or not sup:  # the scalar 1 has no text form: its one row is empty
-        assert signature_from_text(text) == f
+    assert signature_from_text(text) == f
     if n:
         assert view(hat(f)) == helpers.ref_hat(n, sup)
         i, b = data.draw(st.integers(1, n)), data.draw(st.integers(0, 1))
