@@ -3,11 +3,27 @@
 The canonical representative is the column order minimizing the row-sorted
 support matrix read column-major.  Column-major reading makes the objective a
 prefix order over column prefixes, so a greedy search that keeps exactly the
-minimal-key candidates at each depth is exact.
+minimal-key candidates at each depth is exact.  A column's key counts its
+ones in each block of rows that the chosen prefix does not yet tell apart;
+choosing a column splits the blocks.
 
 Highly symmetric supports (Hadamard codes, butterflies) produce huge tie
-fans, so tie siblings are pruned to one representative per orbit of the
-automorphisms discovered so far, in the style of canonical-labeling tools.
+fans, which the search cuts in the style of individualization-refinement
+tools (McKay and Piperno, *Practical graph isomorphism, II*):
+
+- Identical columns are one class, chosen with its multiplicity.  This seeds
+  every swap of two identical columns as an automorphism, and an
+  automorphism that only moves columns within their classes fixes the prefix.
+- Once every row block is a single row, no split changes a key and equal keys
+  mean identical columns, so the rest of the order is forced: the remaining
+  classes sorted by key.  The search reads that tail off as one leaf.
+- Tie siblings are pruned to one per orbit of the automorphisms found so far
+  that fix the prefix.  A leaf equal to the best gives such an automorphism,
+  and the search then unwinds to the node where the two leaves' paths part,
+  since the rest of that branch is the image of one already searched.
+
+``node_budget`` bounds the number of search nodes (forced tails included)
+and raises ``BudgetExceeded`` past it.
 """
 
 from __future__ import annotations
@@ -52,16 +68,22 @@ def permutation_equivalent(f: Signature, g: Signature) -> bool:
 
 
 def _canonicalize(f: Signature, node_budget: int) -> Signature:
-    n = f.arity
-    # Column c as a bitmask over the rows; row blocks as bitmasks too, so
-    # keys and refinement are popcounts and AND-masks.  Keys count rows, so
-    # the search does not depend on which bit a row takes.
-    cols = column_masks(f)
-    all_rows = (1 << len(f.rows)) - 1
+    # Identical columns make one class, searched once with its multiplicity:
+    # swapping two of them fixes the support, so which one comes first never
+    # changes a key.  A class, like a row block, is a bitmask over the rows,
+    # so keys and refinement are popcounts and AND-masks.  Keys count rows,
+    # so the search does not depend on which bit a row takes.
+    twins: dict = {}
+    for c, mask in enumerate(column_masks(f)):
+        twins.setdefault(mask, []).append(c)
+    cols = list(twins)
+    k = len(cols)
+    nrows = len(f.rows)
 
-    best: dict = {"seq": None, "perm": None}
+    best: dict = {"seq": None, "path": None}
+    # class permutations; orbits are closed under them alone, as the inverse
+    # of a permutation is one of its powers
     auts: list = []
-    aut_set: set = set()
     nodes = [0]
 
     def key_of(c: int, blocks) -> tuple:
@@ -80,74 +102,86 @@ def _canonicalize(f: Signature, node_budget: int) -> Signature:
                 out.append(ones)
         return tuple(out)
 
-    def orbit_of(seeds, stab):
-        seen = set(seeds)
+    def close(orbit: set, seeds, stab) -> None:
         frontier = list(seeds)
         while frontier:
             x = frontier.pop()
             for a in stab:
                 y = a[x]
-                if y not in seen:
-                    seen.add(y)
+                if y not in orbit:
+                    orbit.add(y)
                     frontier.append(y)
-        return seen
 
-    def dfs(prefix, remaining, blocks, seq, stab, auts_seen):
+    def leaf(path, seq):
+        """Record a complete order; on a tie with the best, record the
+        automorphism and return the depth where the two paths part."""
+        if best["seq"] is None or seq < best["seq"]:
+            best["seq"], best["path"] = seq, path
+            return None
+        if seq > best["seq"]:
+            return None
+        sigma = list(range(k))
+        for a, b in zip(best["path"], path):
+            sigma[a] = b
+        auts.append(sigma)
+        return next(d for d, (a, b) in enumerate(zip(best["path"], path))
+                    if a != b)
+
+    def dfs(path, left, blocks, seq, stab, auts_seen):
+        """Search below ``path``; return None, or the depth to unwind to
+        after a leaf equal to the best (the rest of the subtree there is an
+        image of an explored one)."""
         nodes[0] += 1
         if nodes[0] > node_budget:
             raise BudgetExceeded("canonical_form search budget exceeded")
-        if not remaining:
-            if best["seq"] is None or seq < best["seq"]:
-                best["seq"] = list(seq)
-                best["perm"] = list(prefix)
-            elif seq == best["seq"]:
-                sigma = [0] * n
-                for a, b in zip(best["perm"], prefix):
-                    sigma[a] = b
-                sigma = tuple(sigma)
-                inv = [0] * n
-                for a, b in enumerate(sigma):
-                    inv[b] = a
-                for cand in (sigma, tuple(inv)):
-                    if cand not in aut_set:
-                        aut_set.add(cand)
-                        auts.append(cand)
-            return
-        d = len(prefix)
-        keyed = [(key_of(c, blocks), c) for c in remaining]
-        kmin = min(k for k, _ in keyed)
+        if len(blocks) == nrows:
+            # Every row stands alone: splits change nothing, so the keys are
+            # fixed and equal keys mean identical columns.  The rest of the
+            # order is the remaining classes sorted by key.
+            tail = sorted((key_of(c, blocks), c) for c in range(k) if left[c])
+            return leaf(
+                path + [c for _, c in tail for _ in range(left[c])],
+                seq + [kc for kc, c in tail for _ in range(left[c])],
+            )
+        d = len(path)
+        keyed = [(key_of(c, blocks), c) for c in range(k) if left[c]]
+        kmin = min(kc for kc, _ in keyed)
         # Compare against the live best each node; best can improve inside an
         # earlier sibling's subtree, so a sticky equal/less flag would stop
         # pruning exactly when it matters.
         if best["seq"] is not None and [*seq, kmin] > best["seq"][: d + 1]:
-            return
-        ties = [c for k, c in keyed if k == kmin]
-        expanded: list = []
-        for c in ties:
-            # Stabilizer of the prefix, maintained incrementally: the parent
-            # filtered everything it knew about, so only automorphisms
-            # recorded since then (some while expanding earlier tie
-            # siblings, which they prune) need the full prefix check.
-            if auts_seen < len(auts):
-                fresh = [
-                    a
-                    for a in auts[auts_seen:]
-                    if all(a[p] == p for p in prefix)
-                ]
-                if fresh:
-                    stab = stab + fresh
-                auts_seen = len(auts)
-            if expanded and stab and c in orbit_of(expanded, stab):
+            return None
+        orbit: set = set()  # the expanded ties and their images under stab
+        for kc, c in keyed:
+            if kc != kmin:
                 continue
-            expanded.append(c)
-            dfs(
-                prefix + [c],
-                [x for x in remaining if x != c],
+            # Stabilizer of the prefix, maintained incrementally: the parent
+            # passed on the automorphisms it knew that fix this node's last
+            # column.  One recorded since (in the subtree of an earlier tie)
+            # fixes the prefix where its two leaves part, and the search has
+            # unwound to that node or above, so it fixes this prefix too.
+            if auts_seen < len(auts):
+                stab = stab + auts[auts_seen:]
+                auts_seen = len(auts)
+                close(orbit, orbit, stab)
+            if c in orbit:
+                continue
+            orbit.add(c)
+            close(orbit, (c,), stab)
+            left[c] -= 1
+            jump = dfs(
+                path + [c],
+                left,
                 split(c, blocks),
                 seq + [kmin],
                 [a for a in stab if a[c] == c],
                 auts_seen,
             )
+            left[c] += 1
+            if jump is not None and jump < d:
+                return jump
+        return None
 
-    dfs([], list(range(n)), (all_rows,), [], [], 0)
-    return permute_columns(f, best["perm"])
+    dfs([], [len(cs) for cs in twins.values()], ((1 << nrows) - 1,), [], [], 0)
+    members = [iter(cs) for cs in twins.values()]
+    return permute_columns(f, [next(members[c]) for c in best["path"]])

@@ -6,7 +6,7 @@ import random
 from eocount import Instance, Signature, complement
 from eocount.engine import _endpoint_map
 from eocount.affine import gf2_eliminate
-from eocount.signatures import bits_str
+from eocount.signatures import bits_str, column_masks
 
 
 def gauss_jordan(rows, ncols: int) -> list:
@@ -48,6 +48,110 @@ def ref_brute_force(inst: Instance) -> int:
         else:
             total += 1
     return total
+
+
+def ref_canonical(f: Signature) -> Signature:
+    """Canonical form by a search that keys every remaining column against
+    every row block at every node, with orbit pruning by the automorphisms
+    found at tied leaves and no node budget.  A reference for
+    ``canonical_form``."""
+    if f.arity == 0 or not f.rows:
+        return f
+    n = f.arity
+    # Column c as a bitmask over the rows; row blocks as bitmasks too, so
+    # keys and refinement are popcounts and AND-masks.  Keys count rows, so
+    # the search does not depend on which bit a row takes.
+    cols = column_masks(f)
+    all_rows = (1 << len(f.rows)) - 1
+
+    best: dict = {"seq": None, "perm": None}
+    auts: list = []
+    aut_set: set = set()
+
+    def key_of(c: int, blocks) -> tuple:
+        col = cols[c]
+        return tuple((col & m).bit_count() for m in blocks)
+
+    def split(c: int, blocks):
+        col = cols[c]
+        out = []
+        for m in blocks:
+            zeros = m & ~col
+            ones = m & col
+            if zeros:
+                out.append(zeros)
+            if ones:
+                out.append(ones)
+        return tuple(out)
+
+    def orbit_of(seeds, stab):
+        seen = set(seeds)
+        frontier = list(seeds)
+        while frontier:
+            x = frontier.pop()
+            for a in stab:
+                y = a[x]
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return seen
+
+    def dfs(prefix, remaining, blocks, seq, stab, auts_seen):
+        if not remaining:
+            if best["seq"] is None or seq < best["seq"]:
+                best["seq"] = list(seq)
+                best["perm"] = list(prefix)
+            elif seq == best["seq"]:
+                sigma = [0] * n
+                for a, b in zip(best["perm"], prefix):
+                    sigma[a] = b
+                sigma = tuple(sigma)
+                inv = [0] * n
+                for a, b in enumerate(sigma):
+                    inv[b] = a
+                for cand in (sigma, tuple(inv)):
+                    if cand not in aut_set:
+                        aut_set.add(cand)
+                        auts.append(cand)
+            return
+        d = len(prefix)
+        keyed = [(key_of(c, blocks), c) for c in remaining]
+        kmin = min(k for k, _ in keyed)
+        # Compare against the live best each node; best can improve inside an
+        # earlier sibling's subtree, so a sticky equal/less flag would stop
+        # pruning exactly when it matters.
+        if best["seq"] is not None and [*seq, kmin] > best["seq"][: d + 1]:
+            return
+        ties = [c for k, c in keyed if k == kmin]
+        expanded: list = []
+        for c in ties:
+            # Stabilizer of the prefix, maintained incrementally: the parent
+            # filtered everything it knew about, so only automorphisms
+            # recorded since then (some while expanding earlier tie
+            # siblings, which they prune) need the full prefix check.
+            if auts_seen < len(auts):
+                fresh = [
+                    a
+                    for a in auts[auts_seen:]
+                    if all(a[p] == p for p in prefix)
+                ]
+                if fresh:
+                    stab = stab + fresh
+                auts_seen = len(auts)
+            if expanded and stab and c in orbit_of(expanded, stab):
+                continue
+            expanded.append(c)
+            dfs(
+                prefix + [c],
+                [x for x in remaining if x != c],
+                split(c, blocks),
+                seq + [kmin],
+                [a for a in stab if a[c] == c],
+                auts_seen,
+            )
+
+    dfs([], list(range(n)), (all_rows,), [], [], 0)
+    return permute_columns(f, best["perm"])
 
 
 def random_affine_eo(rng: random.Random, half: int) -> Signature:

@@ -2,13 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eocount import Signature, canonical_form, permutation_equivalent, tensor
-from eocount.errors import SizeCapExceeded
-from eocount.hadamard import basic_kernel, butterfly
-from eocount.signatures import DELTA0, DELTA1
+from eocount import Signature, canonical, canonical_form, permutation_equivalent, tensor
+from eocount.errors import BudgetExceeded, SizeCapExceeded
+from eocount.hadamard import Polarity, balanced_code, basic_kernel, butterfly, wings
+from eocount.signatures import DELTA0, DELTA1, m_multiple
 
-from helpers import permute_columns
+from helpers import permute_columns, ref_canonical
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 G2 = Signature.from_strings(["0011", "0101", "0110"])
@@ -80,3 +82,56 @@ def test_size_cap():
     wide = Signature(70, frozenset({(1,) * 70}))
     with pytest.raises(SizeCapExceeded):
         canonical_form(wide)
+
+
+# generator families up to arity 32: kernels with m = 1..3, wings, balanced
+# codes and butterflies
+FAMILIES = [
+    *(m_multiple(basic_kernel(k), m)
+      for k in range(1, 6) for m in (1, 2, 3) if m << k <= 32),
+    *(w for k in range(1, 6) for w in wings(k)),
+    *(balanced_code(k, pol) for k in range(1, 6) for pol in Polarity),
+    *(butterfly(k) for k in range(1, 5)),
+]
+
+
+@st.composite
+def supports_with_twins(draw):
+    """Random support of arity <= 12 in which some columns repeat."""
+    base = draw(st.integers(1, 8))
+    arity = draw(st.integers(base + 1, 12))
+    rows = draw(st.sets(st.integers(0, (1 << base) - 1), min_size=1, max_size=16))
+    twins = draw(st.lists(st.integers(0, base - 1),
+                          min_size=arity - base, max_size=arity - base))
+    cols = draw(st.permutations([*range(base), *twins]))
+    return Signature(arity, frozenset(tuple((r >> c) & 1 for c in cols) for r in rows))
+
+
+def fresh_form(f: Signature) -> Signature:
+    canonical._cache.clear()
+    return canonical_form(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(supports_with_twins())
+def test_matches_reference_search_with_twin_columns(f):
+    assert fresh_form(f) == ref_canonical(f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FAMILIES).flatmap(
+    lambda f: st.permutations(range(f.arity)).map(lambda p: permute_columns(f, p))))
+def test_matches_reference_search_on_permuted_families(g):
+    assert fresh_form(g) == ref_canonical(g)
+
+
+def test_node_budget_is_enforced():
+    perm = list(range(32))
+    random.Random(3).shuffle(perm)
+    g = permute_columns(basic_kernel(5), perm)
+    canonical._cache.clear()
+    with pytest.raises(BudgetExceeded):
+        canonical_form(g, node_budget=10)
+    assert g not in canonical._cache
+    # a search that keys its way down to every leaf takes over 2,000 nodes
+    assert canonical_form(g, node_budget=1000) == fresh_form(basic_kernel(5))

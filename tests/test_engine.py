@@ -449,3 +449,38 @@ def test_solve_counts_mixed_polarity_past_24_edges():
     assert res.method is Method.BRUTE
     assert res.count >= 1
     assert res.count == math.prod(ref_brute_force(p) for p in parts)
+
+
+def subdivided(inst: Instance, i: int) -> Instance:
+    """Edge i split by a new NEQ2 vertex, which passes its orientation on:
+    the orientations of the two instances correspond one to one."""
+    (a, b) = inst.edges[i]
+    edges = inst.edges[:i] + ((a, ("sub", 1)), (("sub", 2), b)) + inst.edges[i + 1:]
+    return Instance(
+        {**inst.signatures, "neq2": NEQ2}, inst.vertices + (("sub", "neq2"),), edges
+    )
+
+
+@pytest.mark.parametrize("path", [Method.CHAIN_D1, Method.AFFINE])
+def test_metamorphic_relations_on_planted_instances(path):
+    """Relations that need no oracle, on random-wiring instances of ~10^3
+    vertices: complementing every label, reordering the vertices and
+    subdividing an edge keep the count; a disjoint union multiplies it."""
+    rng = random.Random(5)
+    if path is Method.CHAIN_D1:
+        pool, edges = CHAIN_POOL, 2500
+    else:
+        pool = [NEQ2] + [random_affine_eo(rng, h) for h in (1, 2, 2, 3, 3)]
+        edges = 1800
+    inst = planted_instance(rng, pool, edges)
+    other = planted_instance(rng, pool, edges // 10)
+    res = solve(inst)
+    assert len(inst.vertices) >= 900
+    assert res.method is path and res.count >= 1
+    count = res.count
+    shuffled = list(inst.vertices)
+    rng.shuffle(shuffled)
+    assert solve(complemented(inst)).count == count
+    assert solve(Instance(inst.signatures, tuple(shuffled), inst.edges)).count == count
+    assert solve(subdivided(inst, rng.randrange(edges))).count == count
+    assert solve(disjoint_union([inst, other])).count == count * solve(other).count
