@@ -14,14 +14,16 @@ from .signatures import Signature, column_masks, is_eo
 
 
 def _pivots(rows) -> dict:
-    """Echelon basis of the span of packed rows: a dict from each basis row's
-    lowest set bit to the row.  An incoming row is reduced by the row that
-    owns its lowest bit until that bit is new (or the row vanishes), so the
-    dict's size is the rank."""
+    """Echelon basis of the span of packed rows: a dict from the position of
+    each basis row's lowest set bit (``bit_length``, so bit i has key i+1) to
+    the row.  An incoming row is reduced by the row that owns its lowest bit
+    until that bit is new (or the row vanishes), so the dict's size is the
+    rank.  Keys are small ints, so a lookup costs the same however wide the
+    rows are."""
     pivots: dict = {}
     for r in rows:
         while r:
-            low = r & -r
+            low = (r & -r).bit_length()
             p = pivots.get(low)
             if p is None:
                 pivots[low] = r
@@ -39,10 +41,10 @@ def gf2_eliminate(rows: list, ncols: int) -> list:
     """
     pivots = _pivots(rows)
     reduced: dict = {}  # filled from the highest pivot down
-    for low in sorted((low for low in pivots if low >> ncols == 0), reverse=True):
+    for low in sorted((low for low in pivots if low <= ncols), reverse=True):
         r = pivots[low]
         for high, q in reduced.items():
-            if r & high:
+            if r >> (high - 1) & 1:
                 r ^= q
         reduced[low] = r
     return list(reversed(reduced.values()))
@@ -79,16 +81,24 @@ class AffineSystem:
         return self.offset is None
 
 
-def is_affine(f: Signature) -> bool:
-    """True iff the support is an affine subspace (empty included)."""
+def _affine_basis(f: Signature):
+    """(base, basis) with the support equal to base + span(basis), the basis
+    independent; (None, ()) for the empty support; None when the support is
+    not an affine subspace."""
     rows = f.rows
     s = len(rows)
     if s == 0:
-        return True
+        return None, ()
     if s & (s - 1):
-        return False
+        return None
     base = next(iter(rows))
-    return s == 1 << len(_pivots(r ^ base for r in rows))
+    basis = tuple(_pivots(r ^ base for r in rows).values())
+    return (base, basis) if s == 1 << len(basis) else None
+
+
+def is_affine(f: Signature) -> bool:
+    """True iff the support is an affine subspace (empty included)."""
+    return _affine_basis(f) is not None
 
 
 def affine_system(f: Signature) -> AffineSystem:
@@ -113,7 +123,7 @@ def affine_system(f: Signature) -> AffineSystem:
 def count_packed(rows: list, n: int) -> int:
     """Solutions of packed (n+1)-bit rows over n variables; 0 if inconsistent."""
     pivots = _pivots(rows)
-    if 1 << n in pivots:  # the row space holds 0 = 1
+    if n + 1 in pivots:  # the row space holds 0 = 1
         return 0
     return 1 << (n - len(pivots))
 

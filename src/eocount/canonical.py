@@ -45,11 +45,10 @@ def canonical_form(
     node_budget: int = _DEFAULT_NODE_BUDGET,
 ) -> Signature:
     """Canonical representative; equal for f, g iff they differ by a variable
-    permutation."""
-    if f.arity > max_size or len(f.rows) > max_size:
+    permutation.  ``max_size`` caps the arity; the support may be larger."""
+    if f.arity > max_size:
         raise SizeCapExceeded(
-            f"canonical_form cap {max_size} exceeded "
-            f"(arity {f.arity}, support {len(f.rows)})"
+            f"canonical_form cap {max_size} exceeded (arity {f.arity})"
         )
     if f.arity == 0 or not f.rows:
         return f

@@ -12,9 +12,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .affine import affine_system, count_packed, is_affine
+from .affine import _affine_basis, count_packed, is_affine
 from .classes import in_d0, in_d1
-from .errors import InstanceError, NotAffineError
+from .errors import InstanceError
 from .signatures import (
     Signature,
     WeightedSignature,
@@ -86,11 +86,15 @@ def validate(inst: Instance) -> tuple:
     for (v, slot), cnt in seen.items():
         if cnt > 1:
             errors.append(f"endpoint {v}.{slot} wired {cnt} times")
+    eo: dict = {}  # label -> is_eo, tested once per distinct label
     for v, sig in labels.items():
         for slot in range(1, sig.arity + 1):
             if (v, slot) not in seen:
                 errors.append(f"dangling slot {v}.{slot}")
-        if not is_eo(sig):
+        ok = eo.get(sig)
+        if ok is None:
+            ok = eo[sig] = is_eo(sig)
+        if not ok:
             warnings.append(f"vertex {v}: label is not an EO signature")
     return errors, warnings
 
@@ -185,48 +189,68 @@ def brute_force(inst: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult:
     return CountResult(sum(states.values()), Method.BRUTE)
 
 
-def solve_affine(inst: Instance) -> CountResult:
-    """One GF(2) variable per edge; every vertex contributes its affine
-    constraints with slots substituted by the edge variable or its
-    complement.  Each distinct label's system is derived once."""
-    ne = len(inst.edges)
-    ep = _endpoint_map(inst)
-    systems: dict = {}
-    rows = []
+def solve_affine(
+    inst: Instance, label_classes: _Classes | None = None
+) -> CountResult:
+    """Count in the parametric form of the labels: the slots of vertex v read
+    base_v + B_v·y_v, with one GF(2) unknown per vector of the basis B_v of
+    its label's support shifted by base_v.  Each edge gives one row, "the two
+    slots differ", in the unknowns of its two endpoints.  A basis is
+    independent, so y -> x is one-to-one and the row system has exactly one
+    solution per orientation.  Each distinct label is reduced once;
+    ``label_classes`` passes on the reductions that ``solve`` already made.
+    """
+    classes = label_classes or _Classes()
+    forms: dict = {}  # label -> (base, per slot the basis vectors that set it)
+    place: dict = {}  # vertex -> (its first unknown, base, slot masks)
+    n = 0
     for v, sig in inst.labels().items():
-        sys = systems.get(sig)
-        if sys is None:
-            try:
-                sys = systems[sig] = affine_system(sig)
-            except NotAffineError:
-                raise InstanceError(f"vertex {v}: label is not affine") from None
-        if sys.is_empty:
-            return CountResult(0, Method.AFFINE)
-        for crow in sys.constraints:
-            packed, const = 0, crow >> sig.arity
-            for slot in range(1, sig.arity + 1):
-                if crow >> (slot - 1) & 1:
-                    e, side = ep[(v, slot)]
-                    packed ^= 1 << e
-                    const ^= side  # second endpoint holds the complement
-            rows.append(packed | (const << ne))
-    return CountResult(count_packed(rows, ne), Method.AFFINE)
+        form = forms.get(sig)
+        if form is None:
+            red = classes.reduction(sig)
+            if red is None:
+                raise InstanceError(f"vertex {v}: label is not affine")
+            base, basis = red
+            if base is None:
+                return CountResult(0, Method.AFFINE)
+            cols = [0] * sig.arity
+            for k, b in enumerate(basis):
+                while b:
+                    low = b & -b
+                    cols[low.bit_length() - 1] |= 1 << k
+                    b ^= low
+            form = forms[sig] = (base, cols, len(basis))
+        base, cols, dim = form
+        place[v] = (n, base, cols)
+        n += dim
+    rows = []
+    for (v, i), (w, j) in inst.edges:
+        at_v, base_v, cols_v = place[v]
+        at_w, base_w, cols_w = place[w]
+        const = (1 ^ base_v >> (i - 1) ^ base_w >> (j - 1)) & 1
+        rows.append(
+            (cols_v[i - 1] << at_v) ^ (cols_w[j - 1] << at_w) | const << n
+        )
+    return CountResult(count_packed(rows, n), Method.AFFINE)
 
 
 class _Classes:
     """Class membership of the distinct labels of one solve, each computed
-    at most once: affine, and per polarity t whether the label is affine or
-    an EO signature in the delta_t-affine class."""
+    at most once: the affine reduction ``(base, basis)`` (None when not
+    affine), and per polarity t whether the label is affine or an EO
+    signature in the delta_t-affine class."""
 
     def __init__(self):
-        self._affine: dict = {}
+        self._reduced: dict = {}
         self._tractable: dict = {}
 
+    def reduction(self, sig: Signature):
+        if sig not in self._reduced:
+            self._reduced[sig] = _affine_basis(sig)
+        return self._reduced[sig]
+
     def affine(self, sig: Signature) -> bool:
-        hit = self._affine.get(sig)
-        if hit is None:
-            hit = self._affine[sig] = is_affine(sig)
-        return hit
+        return self.reduction(sig) is not None
 
     def tractable(self, sig: Signature, t: int) -> bool:
         hit = self._tractable.get((sig, t))
@@ -432,7 +456,7 @@ def chain_reaction(
     res = work.residual()
     if not res.vertices:
         return result(1)
-    count = solve_affine(res).count
+    count = solve_affine(res, classes).count
     note(f"affine residual with {len(res.edges)} edges: count {count}")
     return result(count)
 
@@ -458,7 +482,7 @@ def solve(
     classes = _Classes()
     labels = list(dict.fromkeys(inst.labels().values()))
     if method == "auto" and all(classes.affine(s) for s in labels):
-        return solve_affine(inst)
+        return solve_affine(inst, classes)
     for pol in (Polarity.ONE, Polarity.ZERO):
         t = 1 if pol is Polarity.ONE else 0
         if all(classes.tractable(s, t) for s in labels):

@@ -5,7 +5,8 @@ import random
 
 from eocount import Instance, Signature, complement
 from eocount.engine import _endpoint_map
-from eocount.affine import gf2_eliminate
+from eocount.affine import affine_system, count_packed, gf2_eliminate
+from eocount.errors import InstanceError, NotAffineError
 from eocount.signatures import bits_str, column_masks
 
 
@@ -48,6 +49,34 @@ def ref_brute_force(inst: Instance) -> int:
         else:
             total += 1
     return total
+
+
+def ref_solve_affine(inst: Instance) -> int:
+    """Count with one GF(2) variable per edge: every vertex contributes its
+    label's ``affine_system`` constraints, with slots substituted by the
+    edge variable or its complement.  A reference for ``solve_affine``."""
+    ne = len(inst.edges)
+    ep = _endpoint_map(inst)
+    systems: dict = {}
+    rows = []
+    for v, sig in inst.labels().items():
+        sys = systems.get(sig)
+        if sys is None:
+            try:
+                sys = systems[sig] = affine_system(sig)
+            except NotAffineError:
+                raise InstanceError(f"vertex {v}: label is not affine") from None
+        if sys.is_empty:
+            return 0
+        for crow in sys.constraints:
+            packed, const = 0, crow >> sig.arity
+            for slot in range(1, sig.arity + 1):
+                if crow >> (slot - 1) & 1:
+                    e, side = ep[(v, slot)]
+                    packed ^= 1 << e
+                    const ^= side  # second endpoint holds the complement
+            rows.append(packed | (const << ne))
+    return count_packed(rows, ne)
 
 
 def ref_canonical(f: Signature) -> Signature:

@@ -10,7 +10,7 @@ from eocount.errors import BudgetExceeded, SizeCapExceeded
 from eocount.hadamard import Polarity, balanced_code, basic_kernel, butterfly, wings
 from eocount.signatures import DELTA0, DELTA1, m_multiple
 
-from helpers import permute_columns, ref_canonical
+from helpers import permute_columns, random_affine_eo, ref_canonical
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 G2 = Signature.from_strings(["0011", "0101", "0110"])
@@ -82,6 +82,20 @@ def test_size_cap():
     wide = Signature(70, frozenset({(1,) * 70}))
     with pytest.raises(SizeCapExceeded):
         canonical_form(wide)
+    with pytest.raises(SizeCapExceeded):
+        canonical_form(Signature(65, frozenset({(1,) * 65})))
+
+
+def test_cap_bounds_the_arity_not_the_support():
+    rng = random.Random(1)
+    f = random_affine_eo(rng, 7)
+    assert (f.arity, len(f.rows)) == (14, 128)
+    forms = set()
+    for _ in range(4):
+        perm = list(range(f.arity))
+        rng.shuffle(perm)
+        forms.add(fresh_form(permute_columns(f, perm)))
+    assert forms == {ref_canonical(f)}
 
 
 # generator families up to arity 32: kernels with m = 1..3, wings, balanced

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,7 @@ from eocount import (
     validate,
 )
 from eocount import canonical, canonical_form, classes, classify, engine, kernel_structure
+from eocount.affine import random_affine_signature
 from eocount.engine import DEFAULT_BRUTE_CAP, gadget_demo_hardness
 from eocount.errors import InstanceError
 from eocount.hadamard import Polarity, basic_kernel, butterfly
@@ -32,6 +34,7 @@ from helpers import (
     random_affine_eo,
     random_instance,
     ref_brute_force,
+    ref_solve_affine,
 )
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
@@ -87,6 +90,31 @@ def test_validate_warns_on_non_eo_label():
     )
     _, warnings = validate(inst)
     assert warnings
+
+
+def test_validate_tests_each_label_once_and_warns_per_vertex(monkeypatch):
+    calls = Counter()
+    real = engine.is_eo
+
+    def counted(sig):
+        calls[sig] += 1
+        return real(sig)
+
+    monkeypatch.setattr(engine, "is_eo", counted)
+    bad = Signature.from_strings(["11", "10"])
+    inst = Instance(
+        signatures={"b": bad, "n": NEQ2},
+        vertices=(("v1", "b"), ("v2", "b"), ("v3", "n")),
+        edges=((("v1", 1), ("v2", 2)), (("v1", 2), ("v3", 1)),
+               (("v2", 1), ("v3", 2))),
+    )
+    errors, warnings = validate(inst)
+    assert errors == []
+    assert warnings == [
+        "vertex v1: label is not an EO signature",
+        "vertex v2: label is not an EO signature",
+    ]
+    assert calls == {bad: 1, NEQ2: 1}
 
 
 def test_brute_force_small():
@@ -218,12 +246,13 @@ def test_chain_is_affine_calls_stay_linear(monkeypatch):
 
 
 def test_affine_solve_classifies_each_label_once(monkeypatch):
-    calls = {"is_affine": 0, "affine_system": 0}
-    for name in calls:
+    # classification and counting share one affine reduction per label
+    calls = Counter()
+    for name in ("_affine_basis", "is_affine"):
         real = getattr(engine, name)
 
-        def counted(sig, real=real, name=name):
-            calls[name] += 1
+        def counted(sig, real=real):
+            calls[sig] += 1
             return real(sig)
 
         monkeypatch.setattr(engine, name, counted)
@@ -234,8 +263,8 @@ def test_affine_solve_classifies_each_label_once(monkeypatch):
     assert len(inst.vertices) >= 3 * len(labels)
     res = solve(inst)
     assert res.method is Method.AFFINE and res.count >= 1
-    assert calls["is_affine"] <= len(labels)
-    assert calls["affine_system"] <= len(labels)
+    assert set(calls) == labels
+    assert max(calls.values()) == 1
 
 
 def test_solvers_and_classifiers_never_build_the_tuple_view(monkeypatch):
@@ -346,6 +375,70 @@ def test_affine_solver_vs_brute_randomized(rng):
         assert solve_affine(inst).count == brute_force(inst).count
 
 
+# -- solve_affine against the constraint form and the enumeration -------------
+
+EMPTY2 = Signature(2, frozenset())
+
+
+def single(name, sig, edges):
+    return Instance({name: sig}, (("v1", name),), edges)
+
+
+@st.composite
+def affine_instances(draw, max_edges=10):
+    """A random wiring, self-loops included, of random affine labels of
+    arity 0-4 (mostly not EO), the scalars 1 and 0 and an empty label."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    names, verts, slots = {}, [], []
+
+    def add(sig):
+        name = names.setdefault(sig, f"s{len(names)}")
+        v = f"v{len(verts)}"
+        verts.append((v, name))
+        slots.extend((v, j) for j in range(1, sig.arity + 1))
+
+    for kind in draw(st.lists(st.integers(0, 7), max_size=8)):
+        if kind <= 4:
+            sig = random_affine_signature(rng, kind)
+        else:
+            sig = (SCALAR_ONE, SCALAR_ZERO, EMPTY2)[kind - 5]
+        if len(slots) + sig.arity > 2 * max_edges - 1:
+            break
+        add(sig)
+    if len(slots) % 2:
+        add(random_affine_signature(rng, 1))
+    slots = draw(st.permutations(slots))
+    edges = tuple(zip(slots[::2], slots[1::2]))
+    return Instance({n: s for s, n in names.items()}, tuple(verts), edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_instances())
+@example(Instance({}, (), ()))
+@example(Instance({"one": SCALAR_ONE}, (("c", "one"),), ()))
+@example(Instance({"zero": SCALAR_ZERO}, (("c", "zero"),), ()))
+@example(single("d", D1D0, ((("v1", 1), ("v1", 2)),)))
+@example(single("n", NEQ2, ((("v1", 2), ("v1", 1)),)))
+@example(single("z", EMPTY2, ((("v1", 1), ("v1", 2)),)))
+def test_solve_affine_matches_constraint_form_and_enumeration(inst):
+    for case in (inst, complemented(inst)):
+        want = ref_brute_force(case)
+        assert ref_solve_affine(case) == want
+        assert solve_affine(case).count == want
+
+
+def test_solve_affine_matches_constraint_form_on_planted_instances():
+    rng = random.Random(9)
+    pool = [NEQ2] + [random_affine_eo(rng, h) for h in (1, 2, 2, 3, 3)]
+    for edges in (1500, 1800):
+        inst = planted_instance(rng, pool, edges)
+        assert len(inst.vertices) >= 700
+        for case in (inst, complemented(inst)):
+            res = solve(case)
+            assert res.method is Method.AFFINE
+            assert res.count == ref_solve_affine(case) >= 1
+
+
 # -- brute_force against the 2^|edges| enumeration ----------------------------
 
 NON_EO = Signature.from_strings(["11", "10"])
@@ -354,10 +447,6 @@ ORACLE_POOL = CHAIN_POOL + [
     Signature(2, frozenset()),
 ]
 PLANTED_POOL = CHAIN_POOL + [complement(f) for f in CHAIN_POOL] + [F2, G2]
-
-
-def single(name, sig, edges):
-    return Instance({name: sig}, (("v1", name),), edges)
 
 
 @st.composite
