@@ -106,6 +106,10 @@ _VARIANTS = {"1": Polarity.ONE, "0": Polarity.ZERO}
 
 def _cmd_gen(args) -> int:
     kind, k = args.kind, args.k
+    if args.m < 1:
+        raise EOError(f"--m must be >= 1, got {args.m}")
+    if args.m > 1 and kind != "kernel":
+        raise EOError(f"--m applies to kernel only, not {kind}")
     pol = _VARIANTS[args.variant]
     if kind == "hadamard":
         sig = hadamard_code(k, pol)
@@ -130,11 +134,15 @@ def _cmd_gadget(args) -> int:
     pairs = []
     if args.pairs:
         for chunk in args.pairs.split(","):
-            i, sep, j = chunk.partition(":")
-            if not sep:
-                raise EOError(f"bad pair {chunk!r}; expected i:j")
-            pairs.append((int(i), int(j)))
-    result = engine.gadget_demo_hardness(left, right, pairs)
+            i, _, j = chunk.partition(":")
+            try:
+                pairs.append((int(i), int(j)))
+            except ValueError:
+                raise EOError(f"bad pair {chunk!r}; expected i:j") from None
+    try:
+        result = engine.gadget_demo_hardness(left, right, pairs)
+    except IndexError as exc:
+        raise EOError(f"bad pairs {args.pairs!r}: {exc}") from exc
     print(f"# arity {result.arity}")
     for row in sorted(result.values):
         print(f"{bits_str(row)} {result.values[row]}")

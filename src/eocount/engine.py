@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from .affine import _affine_basis, count_packed, is_affine
 from .classes import in_d0, in_d1
@@ -271,33 +271,23 @@ def _first_forced(sig: Signature, t: int):
 
 
 class _Work:
-    """Mutable view of an instance during the chain reaction.
+    """Mutable view of an instance during the chain reaction: the current
+    label of each live vertex, the original slot ids it still has (in
+    variable order), and the edges not yet consumed.
 
-    Per live vertex it caches whether the label is affine and where its
-    first forced slot is, counts the non-affine vertices, and keeps the
-    owners of a forced slot in a heap ordered as the step choice wants:
-    non-affine owners first, then by ``str`` of the vertex id, then by
-    vertex order.  Entries go stale when a vertex's flags change; they are
-    skipped when they reach the top.
+    It keeps no flags and no step order.  Forced slots stay forced under
+    later pins, so any order of firing them reaches the same fixpoint; the
+    caller's worklist only has to visit every vertex that might own one.
     """
 
-    def __init__(self, inst: Instance, t: int):
-        labels = inst.labels()
-        self.t = t
-        self.sig = dict(labels)
-        # vertex order: breaks ties of str(v) and orders same-step drops
-        self.rank = {v: i for i, v in enumerate(labels)}
-        # per vertex, the original slot ids still alive, in variable order
-        self.slots = {v: list(range(1, s.arity + 1)) for v, s in labels.items()}
+    def __init__(self, inst: Instance):
+        self.sig = inst.labels()
+        self.slots = {v: list(range(1, s.arity + 1)) for v, s in self.sig.items()}
         self.edges = {e: pair for e, pair in enumerate(inst.edges)}
         self.by_endpoint = {}
         for e, (a, b) in self.edges.items():
             self.by_endpoint[a] = e
             self.by_endpoint[b] = e
-        self.affine: dict = {}
-        self.forced: dict = {}
-        self.non_affine = 0
-        self.owners: list = []
 
     def position(self, v, slot) -> int:
         return bisect_left(self.slots[v], slot) + 1
@@ -310,39 +300,10 @@ class _Work:
         del self.by_endpoint[a]
         del self.by_endpoint[b]
 
-    def set_flags(self, v, affine: bool, forced) -> None:
-        # a vertex without flags yet counts as affine, i.e. not in non_affine
-        was_owner = self.forced.get(v) is not None
-        was_affine = self.affine.get(v, True)
-        self.non_affine += was_affine - affine
-        self.affine[v] = affine
-        self.forced[v] = forced
-        if forced is not None and (not was_owner or was_affine != affine):
-            heappush(self.owners, (affine, str(v), self.rank[v], v))
-
-    def refresh(self, v, sig: Signature) -> None:
-        """Store v's pinned label; flags are computed only for a label that
-        stays in the instance (nonzero, arity > 0)."""
-        self.sig[v] = sig
-        if sig.arity and sig.rows:
-            self.set_flags(v, is_affine(sig), _first_forced(sig, self.t))
-
     def drop(self, v) -> None:
         """Remove a vertex whose label is the scalar 1."""
         del self.sig[v]
         del self.slots[v]
-        self.non_affine -= not self.affine.pop(v, True)
-        self.forced.pop(v, None)
-
-    def next_owner(self):
-        """The vertex whose forced slot the next step consumes, or None."""
-        owners = self.owners
-        while owners:
-            affine, _, _, v = owners[0]
-            if self.forced.get(v) is not None and self.affine[v] == affine:
-                return v
-            heappop(owners)
-        return None
 
     def residual(self) -> Instance:
         names = {}
@@ -367,12 +328,21 @@ def chain_reaction(
     trace: bool = False,
     label_classes: _Classes | None = None,
 ) -> CountResult:
-    """Repeatedly consume a forced delta slot through its disequality edge,
-    pinning the neighbour, until the residual instance is all-affine.
+    """Fire forced delta slots until none is left, then count the residual,
+    which must be all-affine, by elimination.
 
-    A step changes only the two labels it pins, so only they are examined
-    again.  ``label_classes`` passes on the classes that ``solve`` already
-    computed for the labels.
+    A step takes a vertex u whose label has a constant-t column, pins that
+    slot to t and the other endpoint of its disequality edge to 1 - t, and
+    drops the edge.  Pinning a column that is constant on the whole support
+    loses no row, whatever the label's class, so each step keeps the count.
+    A constant column also stays constant when other columns are pinned, so
+    a slot that is forced stays forced, and fires, whatever fires first.
+    As with unit propagation, every firing order therefore consumes the
+    same edges and leaves the same residual (or reaches a zero label in
+    every order).  The worklist is a plain FIFO of vertices: each vertex
+    is queued once at the start and again when a step pins it, the only
+    event that can give it a forced slot.  ``label_classes`` passes on the
+    classes that ``solve`` already computed for the labels.
     """
     t = 1 if polarity is Polarity.ONE else 0
     classes = label_classes or _Classes()
@@ -396,27 +366,21 @@ def chain_reaction(
     if any(s.is_zero() for s in labels.values()):
         note("zero signature reached; count is 0")
         return result(0)
-    work = _Work(inst, t)
+    work = _Work(inst)
+    queue = deque()
     for v, sig in labels.items():
-        if sig.arity == 0:
+        if sig.arity:
+            queue.append(v)
+        else:
             work.drop(v)
             note(f"dropped scalar-1 vertex {v}")
-        else:
-            work.set_flags(v, classes.affine(sig), _first_forced(sig, t))
 
-    while work.non_affine:
-        # A pin can leave a non-affine residual with no delta column of its
-        # own; the forced slot that keeps the chain going may then sit on a
-        # different vertex, possibly one with an affine label.  Non-affine
-        # owners go first to keep traces short.
-        u = work.next_owner()
-        if u is None:
-            raise InstanceError(
-                "non-affine label remains but no forced delta slot exists "
-                "anywhere; chain-reaction invariant broken"
-            )
-        f = work.sig[u]
-        pos = work.forced[u]
+    while queue:
+        u = queue.popleft()
+        f = work.sig.get(u)
+        pos = _first_forced(f, t) if f is not None else None
+        if pos is None:
+            continue  # dropped, or nothing to fire until it is pinned again
         slot_id = work.slots[u][pos - 1]
         e = work.by_endpoint[(u, slot_id)]
         a, b = work.edges[e]
@@ -431,28 +395,32 @@ def chain_reaction(
         work.remove_slot(u, slot_id)
         work.remove_slot(v, other_slot)
         work.drop_edge(e)
-        for w, sig in pinned.items():
-            work.refresh(w, sig)
         if any(sig.is_zero() for sig in pinned.values()):
             note("zero signature reached; count is 0")
             return result(0)
-        # Guarantee for the propagation step: the neighbour is annihilated,
-        # turns affine, or realizes a fresh forced slot.
-        if (
-            v != u
-            and pinned[v].arity
-            and not work.affine[v]
-            and work.forced[v] is None
-        ):
-            raise InstanceError(
-                f"vertex {v}: propagation produced a non-affine "
-                "label with no forced slot"
-            )
-        for w in sorted(pinned, key=work.rank.get):
-            if not pinned[w].arity:
+        for w, sig in pinned.items():
+            if not sig.arity:
                 work.drop(w)
                 note(f"dropped scalar-1 vertex {w}")
+                continue
+            work.sig[w] = sig
+            if w != u and _first_forced(sig, t) is None:
+                # Guarantee for the propagation step: the neighbour is
+                # annihilated, turns affine, or realizes a fresh forced slot.
+                if not is_affine(sig):
+                    raise InstanceError(
+                        f"vertex {w}: propagation produced a non-affine "
+                        "label with no forced slot"
+                    )
+                continue
+            queue.append(w)
 
+    for v, sig in work.sig.items():
+        if not classes.affine(sig):
+            raise InstanceError(
+                f"vertex {v}: label still non-affine at the fixpoint; "
+                "chain-reaction invariant broken"
+            )
     res = work.residual()
     if not res.vertices:
         return result(1)

@@ -151,6 +151,29 @@ def test_cli_gadget(tmp_path):
     assert "0011 1" in out and out.count("\n") == 6
 
 
+@pytest.mark.parametrize(
+    "pairs", ["1:x", "x", "1:2:3", "1:-1", "9:1", "0:1", "1:1,1:2", "1:1,2:1"]
+)
+def test_cli_gadget_bad_pairs_are_errors(tmp_path, capsys, pairs):
+    left = tmp_path / "f2.sig"
+    left.write_text("1100\n1010\n1001\n")
+    args = ["gadget", "--left", str(left), "--right", str(left), "--pairs", pairs]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "kernel", "--k", "2", "--m", "0"],
+    ["gen", "kernel", "--k", "2", "--m", "-1"],
+    ["gen", "hadamard", "--k", "2", "--m", "3"],
+    ["gen", "butterfly", "--k", "2", "--m", "2"],
+])
+def test_cli_gen_refuses_bad_m(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_cli_census():
     code, out = run_cli(["census", "--arity", "4", "--format", "kv"])
     assert code == 0
