@@ -39,16 +39,13 @@ CACHE_CAP = 1 << 16
 _cache: dict = {}
 
 
-def canonical_form(
-    f: Signature,
-    max_size: int = DEFAULT_CANON_MAX,
-    node_budget: int = _DEFAULT_NODE_BUDGET,
-) -> Signature:
+def canonical_form(f: Signature, node_budget: int = _DEFAULT_NODE_BUDGET) -> Signature:
     """Canonical representative; equal for f, g iff they differ by a variable
-    permutation.  ``max_size`` caps the arity; the support may be larger."""
-    if f.arity > max_size:
+    permutation.  ``DEFAULT_CANON_MAX`` caps the arity; the support may be
+    larger."""
+    if f.arity > DEFAULT_CANON_MAX:
         raise SizeCapExceeded(
-            f"canonical_form cap {max_size} exceeded (arity {f.arity})"
+            f"canonical_form cap {DEFAULT_CANON_MAX} exceeded (arity {f.arity})"
         )
     if f.arity == 0 or not f.rows:
         return f

@@ -111,19 +111,22 @@ def _cmd_gen(args) -> int:
     if args.m > 1 and kind != "kernel":
         raise EOError(f"--m applies to kernel only, not {kind}")
     pol = _VARIANTS[args.variant]
-    if kind == "hadamard":
-        sig = hadamard_code(k, pol)
-    elif kind == "balanced":
-        sig = balanced_code(k, pol)
-    elif kind == "butterfly":
-        sig = butterfly(k)
-    elif kind == "wing":
-        left, right = wings(k)
-        sig = right if pol is Polarity.ONE else left
-    else:  # kernel
-        sig = basic_kernel(k) if pol is Polarity.ONE else basic_kernel_zero(k)
-        if args.m > 1:
-            sig = m_multiple(sig, args.m)
+    try:
+        if kind == "hadamard":
+            sig = hadamard_code(k, pol)
+        elif kind == "balanced":
+            sig = balanced_code(k, pol)
+        elif kind == "butterfly":
+            sig = butterfly(k)
+        elif kind == "wing":
+            left, right = wings(k)
+            sig = right if pol is Polarity.ONE else left
+        else:  # kernel
+            sig = basic_kernel(k) if pol is Polarity.ONE else basic_kernel_zero(k)
+            if args.m > 1:
+                sig = m_multiple(sig, args.m)
+    except ValueError as exc:  # k below the family's least order
+        raise EOError(f"{kind} --k {k}: {exc}") from exc
     sys.stdout.write(signature_to_text(sig))
     return 0
 
@@ -152,6 +155,8 @@ def _cmd_gadget(args) -> int:
 def _cmd_census(args) -> int:
     if args.arity < 0 or args.arity % 2:
         raise EOError(f"census needs an even arity >= 0, got {args.arity}")
+    if args.max_support is not None and args.max_support < 0:
+        raise EOError(f"--max-support must be >= 0, got {args.max_support}")
     total = agree = kernels = 0
     trivial_expected = 0
     for f in enumerate_eo_supports(args.arity, args.max_support):

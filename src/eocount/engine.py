@@ -11,6 +11,8 @@ import enum
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .affine import _affine_basis, count_packed, is_affine
 from .classes import in_d0, in_d1
@@ -18,7 +20,6 @@ from .errors import InstanceError
 from .signatures import (
     Signature,
     WeightedSignature,
-    delta_factors,
     is_eo,
     loop_diseq,
     pin,
@@ -70,7 +71,7 @@ def validate(inst: Instance) -> tuple:
             errors.append(f"vertex {v}: unknown signature {name!r}")
         else:
             labels[v] = inst.signatures[name]
-    seen: dict = {}
+    wired = dict.fromkeys(labels, 0)  # vertex -> its wired slots, bit s - 1
     for a, b in inst.edges:
         for v, slot in (a, b):
             if v not in labels:
@@ -82,15 +83,17 @@ def validate(inst: Instance) -> tuple:
                     f"1..{labels[v].arity}"
                 )
                 continue
-            seen[(v, slot)] = seen.get((v, slot), 0) + 1
-    for (v, slot), cnt in seen.items():
-        if cnt > 1:
-            errors.append(f"endpoint {v}.{slot} wired {cnt} times")
+            bit = 1 << (slot - 1)
+            if wired[v] & bit:
+                errors.append(f"endpoint {v}.{slot} wired more than once")
+            wired[v] |= bit
     eo: dict = {}  # label -> is_eo, tested once per distinct label
     for v, sig in labels.items():
-        for slot in range(1, sig.arity + 1):
-            if (v, slot) not in seen:
-                errors.append(f"dangling slot {v}.{slot}")
+        dangling = ((1 << sig.arity) - 1) & ~wired[v]
+        while dangling:
+            low = dangling & -dangling
+            errors.append(f"dangling slot {v}.{low.bit_length()}")
+            dangling ^= low
         ok = eo.get(sig)
         if ok is None:
             ok = eo[sig] = is_eo(sig)
@@ -262,66 +265,6 @@ class _Classes:
         return hit
 
 
-def _first_forced(sig: Signature, t: int):
-    """1-based position of the first constant-t column of a nonzero label,
-    or None."""
-    ones, zeros = delta_factors(sig)
-    forced = ones if t == 1 else zeros
-    return forced[0] if forced else None
-
-
-class _Work:
-    """Mutable view of an instance during the chain reaction: the current
-    label of each live vertex, the original slot ids it still has (in
-    variable order), and the edges not yet consumed.
-
-    It keeps no flags and no step order.  Forced slots stay forced under
-    later pins, so any order of firing them reaches the same fixpoint; the
-    caller's worklist only has to visit every vertex that might own one.
-    """
-
-    def __init__(self, inst: Instance):
-        self.sig = inst.labels()
-        self.slots = {v: list(range(1, s.arity + 1)) for v, s in self.sig.items()}
-        self.edges = {e: pair for e, pair in enumerate(inst.edges)}
-        self.by_endpoint = {}
-        for e, (a, b) in self.edges.items():
-            self.by_endpoint[a] = e
-            self.by_endpoint[b] = e
-
-    def position(self, v, slot) -> int:
-        return bisect_left(self.slots[v], slot) + 1
-
-    def remove_slot(self, v, slot) -> None:
-        del self.slots[v][bisect_left(self.slots[v], slot)]
-
-    def drop_edge(self, e) -> None:
-        a, b = self.edges.pop(e)
-        del self.by_endpoint[a]
-        del self.by_endpoint[b]
-
-    def drop(self, v) -> None:
-        """Remove a vertex whose label is the scalar 1."""
-        del self.sig[v]
-        del self.slots[v]
-
-    def residual(self) -> Instance:
-        names = {}
-        vertices = []
-        for v, sig in self.sig.items():
-            names[v] = f"sig_{v}"
-            vertices.append((v, names[v]))
-        edges = []
-        for a, b in self.edges.values():
-            (va, sa), (vb, sb) = a, b
-            edges.append(
-                ((va, self.position(va, sa)), (vb, self.position(vb, sb)))
-            )
-        return Instance(
-            {names[v]: self.sig[v] for v in self.sig}, tuple(vertices), tuple(edges)
-        )
-
-
 def chain_reaction(
     inst: Instance,
     polarity: Polarity = Polarity.ONE,
@@ -343,12 +286,18 @@ def chain_reaction(
     is queued once at the start and again when a step pins it, the only
     event that can give it a forced slot.  ``label_classes`` passes on the
     classes that ``solve`` already computed for the labels.
+
+    The state is three maps: ``sig`` holds each vertex's current label,
+    ``slots`` the original ids of its live slots in variable order, and
+    ``edges`` the edges not yet consumed, plus an endpoint index built once.
+    A vertex whose slots are all consumed keeps its arity-0 label, so the
+    residual names each label by its vertex.
     """
     t = 1 if polarity is Polarity.ONE else 0
     classes = label_classes or _Classes()
-    labels = inst.labels()
-    for v, sig in labels.items():
-        if not classes.tractable(sig, t):
+    sig = inst.labels()
+    for v, f in sig.items():
+        if not classes.tractable(f, t):
             raise InstanceError(
                 f"vertex {v}: label outside the polarity-{polarity.value} "
                 "tractable class"
@@ -363,78 +312,77 @@ def chain_reaction(
     def result(count):
         return CountResult(count, method, tuple(steps) if trace else None)
 
-    if any(s.is_zero() for s in labels.values()):
+    def forced(f):
+        # 1-based position of the first constant-t column, 0 if none
+        full = (1 << f.arity) - 1
+        col = reduce(and_, f.rows, full) if t else full & ~reduce(or_, f.rows)
+        return (col & -col).bit_length()
+
+    if any(f.is_zero() for f in sig.values()):
         note("zero signature reached; count is 0")
         return result(0)
-    work = _Work(inst)
-    queue = deque()
-    for v, sig in labels.items():
-        if sig.arity:
-            queue.append(v)
-        else:
-            work.drop(v)
-            note(f"dropped scalar-1 vertex {v}")
+    slots = {v: list(range(1, f.arity + 1)) for v, f in sig.items()}
+    edges = dict(enumerate(inst.edges))
+    edge_at = {}  # endpoint -> edge index; a consumed endpoint is never read
+    for e, (a, b) in edges.items():
+        edge_at[a] = edge_at[b] = e
+    queue = deque(sig)
 
     while queue:
         u = queue.popleft()
-        f = work.sig.get(u)
-        pos = _first_forced(f, t) if f is not None else None
-        if pos is None:
-            continue  # dropped, or nothing to fire until it is pinned again
-        slot_id = work.slots[u][pos - 1]
-        e = work.by_endpoint[(u, slot_id)]
-        a, b = work.edges[e]
-        v, other_slot = b if a == (u, slot_id) else a
-        j = work.position(v, other_slot)
+        f = sig[u]
+        pos = forced(f)
+        if not pos:
+            continue  # nothing to fire until it is pinned again
+        slot = slots[u][pos - 1]
+        a, b = edges.pop(edge_at[(u, slot)])
+        v, other = b if a == (u, slot) else a
+        j = bisect_left(slots[v], other) + 1
         if v == u:
-            pinned = {u: pin2(f, pos, j, t, 1 - t)}
-            note(f"self-loop at {u}: pinned slots {slot_id},{other_slot}")
+            sig[u] = pin2(f, pos, j, t, 1 - t)
+            note(f"self-loop at {u}: pinned slots {slot},{other}")
         else:
-            pinned = {u: pin(f, pos, t), v: pin(work.sig[v], j, 1 - t)}
-            note(f"propagated {u}.{slot_id} -> {v}.{other_slot}")
-        work.remove_slot(u, slot_id)
-        work.remove_slot(v, other_slot)
-        work.drop_edge(e)
-        if any(sig.is_zero() for sig in pinned.values()):
+            sig[u] = pin(f, pos, t)
+            sig[v] = pin(sig[v], j, 1 - t)
+            note(f"propagated {u}.{slot} -> {v}.{other}")
+        del slots[u][pos - 1]
+        del slots[v][bisect_left(slots[v], other)]
+        if sig[u].is_zero() or sig[v].is_zero():
             note("zero signature reached; count is 0")
             return result(0)
-        for w, sig in pinned.items():
-            if not sig.arity:
-                work.drop(w)
-                note(f"dropped scalar-1 vertex {w}")
-                continue
-            work.sig[w] = sig
-            if w != u and _first_forced(sig, t) is None:
+        queue.append(u)
+        if v != u:
+            g = sig[v]
+            if forced(g):
+                queue.append(v)
+            elif g.arity and not is_affine(g):
                 # Guarantee for the propagation step: the neighbour is
                 # annihilated, turns affine, or realizes a fresh forced slot.
-                if not is_affine(sig):
-                    raise InstanceError(
-                        f"vertex {w}: propagation produced a non-affine "
-                        "label with no forced slot"
-                    )
-                continue
-            queue.append(w)
+                raise InstanceError(
+                    f"vertex {v}: propagation produced a non-affine "
+                    "label with no forced slot"
+                )
 
-    for v, sig in work.sig.items():
-        if not classes.affine(sig):
+    for v, f in sig.items():
+        if not classes.affine(f):
             raise InstanceError(
                 f"vertex {v}: label still non-affine at the fixpoint; "
                 "chain-reaction invariant broken"
             )
-    res = work.residual()
-    if not res.vertices:
-        return result(1)
+    res = Instance(
+        sig,
+        tuple((v, v) for v in sig),
+        tuple(
+            ((va, bisect_left(slots[va], sa) + 1), (vb, bisect_left(slots[vb], sb) + 1))
+            for (va, sa), (vb, sb) in edges.values()
+        ),
+    )
     count = solve_affine(res, classes).count
     note(f"affine residual with {len(res.edges)} edges: count {count}")
     return result(count)
 
 
-def solve(
-    inst: Instance,
-    method: str = "auto",
-    trace: bool = False,
-    brute_cap: int = DEFAULT_BRUTE_CAP,
-) -> CountResult:
+def solve(inst: Instance, method: str = "auto", trace: bool = False) -> CountResult:
     """Dispatch: affine instances to Gaussian elimination, one-polarity
     instances to the chain reaction, everything else to brute force.  Each
     distinct label is classified once."""
@@ -442,7 +390,7 @@ def solve(
     if errors:
         raise InstanceError("; ".join(errors))
     if method == "brute":
-        return brute_force(inst, cap=brute_cap)
+        return brute_force(inst)
     if method == "affine":
         return solve_affine(inst)
     if method not in ("auto", "chain"):
@@ -457,7 +405,7 @@ def solve(
             return chain_reaction(inst, pol, trace=trace, label_classes=classes)
     if method == "chain":
         raise InstanceError("no single polarity covers all labels")
-    res = brute_force(inst, cap=brute_cap)
+    res = brute_force(inst)
     return CountResult(
         res.count,
         res.method,

@@ -82,6 +82,10 @@ def instance_from_text(text: str) -> Instance:
                 block_name = line[:-1].strip()
                 if not block_name:
                     raise FormatError(f"line {lineno}: empty signature name")
+                if block_name in signatures:
+                    raise FormatError(
+                        f"line {lineno}: duplicate signature name {block_name!r}"
+                    )
             elif block_name is None:
                 raise FormatError(f"line {lineno}: row outside a signature block")
             else:

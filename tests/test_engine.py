@@ -79,6 +79,26 @@ def test_validate_catches_bad_wiring():
     )
     errors, _ = validate(inst)
     assert errors  # slots 3 and 4 dangling
+    inst = Instance(
+        signatures={"f2": F2},
+        vertices=(("v1", "f2"), ("v2", "f2")),
+        edges=(
+            (("v1", 1), ("v2", 1)),
+            (("v1", 1), ("v2", 5)),
+            (("v3", 1), ("v2", 2)),
+            (("v1", 1), ("v1", 2)),
+        ),
+    )
+    assert validate(inst)[0] == [
+        "endpoint v1.1 wired more than once",
+        "edge endpoint v2.5: slot out of range 1..4",
+        "edge endpoint v3.1: unknown vertex",
+        "endpoint v1.1 wired more than once",
+        "dangling slot v1.3",
+        "dangling slot v1.4",
+        "dangling slot v2.3",
+        "dangling slot v2.4",
+    ]
 
 
 def test_validate_warns_on_non_eo_label():
@@ -210,10 +230,9 @@ def test_chain_vs_brute_randomized(rng):
         if inst is None or validate(inst)[0]:
             continue
         trials += 1
-        assert (
-            chain_reaction(inst, Polarity.ONE).count
-            == brute_force(inst).count
-        )
+        want = brute_force(inst).count
+        assert chain_reaction(inst, Polarity.ONE).count == want
+        assert chain_reaction(complemented(inst), Polarity.ZERO).count == want
 
 
 def test_chain_vs_brute_planted_both_polarities():

@@ -68,6 +68,9 @@ def test_instance_parse_errors():
         instance_from_text(INSTANCE_TEXT.replace("v1.1 v2.2", "v1x1 v2.2"))
     with pytest.raises(FormatError):
         instance_from_text(INSTANCE_TEXT.replace("v1 f2", "v1 missing"))
+    twice = INSTANCE_TEXT.replace("[vertices]", "f2:\n0011\n0101\n0110\n\n[vertices]")
+    with pytest.raises(FormatError, match=r"^line 7: duplicate signature name 'f2'$"):
+        instance_from_text(twice)
 
 
 def test_cli_solve(tmp_path):
@@ -167,6 +170,13 @@ def test_cli_gadget_bad_pairs_are_errors(tmp_path, capsys, pairs):
     ["gen", "kernel", "--k", "2", "--m", "-1"],
     ["gen", "hadamard", "--k", "2", "--m", "3"],
     ["gen", "butterfly", "--k", "2", "--m", "2"],
+    # each family below its least order
+    ["gen", "kernel", "--k", "0"],
+    ["gen", "kernel", "--k", "0", "--variant", "0"],
+    ["gen", "hadamard", "--k", "-1"],
+    ["gen", "balanced", "--k", "0"],
+    ["gen", "butterfly", "--k", "0"],
+    ["gen", "wing", "--k", "0"],
 ])
 def test_cli_gen_refuses_bad_m(capsys, argv):
     assert main(argv) == 2
@@ -189,6 +199,13 @@ def test_cli_census_refuses_too_many_supports_before_enumerating(capsys):
     # arity 8 has 70 half-weight vectors, so 2^70 supports
     assert main(["census", "--arity", "8"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_census_refuses_a_negative_max_support(capsys):
+    assert main(["census", "--arity", "4", "--max-support", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --max-support must be >= 0, got -1\n"
+    assert captured.out == ""
 
 
 def test_cli_census_arity_8_with_max_support():
