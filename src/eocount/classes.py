@@ -187,6 +187,11 @@ def kernel_structure(f: Signature) -> KernelStructure:
         polarity = Polarity.ZERO
     else:
         raise ValueError("not a kernel")
+    return _structure(f, polarity)
+
+
+def _structure(f: Signature, polarity: Polarity) -> KernelStructure:
+    """kernel_structure for a kernel whose polarity is already known."""
     ones, zeros = delta_factors(f)
     own = ones if polarity is Polarity.ONE else zeros
     if len(f.rows) == 3:
@@ -221,5 +226,6 @@ def classify(f: Signature) -> ClassReport:
     d0 = in_d0(f)
     k1 = is_d1_kernel(f)
     k0 = is_d0_kernel(f)
-    info = kernel_structure(f) if (k1 or k0) else None
+    polarity = Polarity.ONE if k1 else Polarity.ZERO
+    info = _structure(f, polarity) if (k1 or k0) else None
     return ClassReport(True, aff, d1, d0, k1, k0, info)

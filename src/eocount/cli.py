@@ -9,15 +9,7 @@ import sys
 from . import engine
 from .classes import classify, direct_d1_kernel, is_d1_kernel
 from .errors import EOError
-from .hadamard import (
-    Polarity,
-    balanced_code,
-    basic_kernel,
-    basic_kernel_zero,
-    butterfly,
-    hadamard_code,
-    wings,
-)
+from .hadamard import Polarity, balanced_code, butterfly, hadamard_code
 from .instance_io import instance_from_text
 from .signatures import (
     Signature,
@@ -114,17 +106,10 @@ def _cmd_gen(args) -> int:
     try:
         if kind == "hadamard":
             sig = hadamard_code(k, pol)
-        elif kind == "balanced":
-            sig = balanced_code(k, pol)
         elif kind == "butterfly":
             sig = butterfly(k)
-        elif kind == "wing":
-            left, right = wings(k)
-            sig = right if pol is Polarity.ONE else left
-        else:  # kernel
-            sig = basic_kernel(k) if pol is Polarity.ONE else basic_kernel_zero(k)
-            if args.m > 1:
-                sig = m_multiple(sig, args.m)
+        else:  # balanced, wing and kernel are the balanced codes
+            sig = m_multiple(balanced_code(k, pol), args.m)
     except ValueError as exc:  # k below the family's least order
         raise EOError(f"{kind} --k {k}: {exc}") from exc
     sys.stdout.write(signature_to_text(sig))

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import SizeCapExceeded
-from .signatures import DELTA1, Signature, complement, tensor
+from .signatures import Signature
 
 DEFAULT_MAX_K = 6  # arity cap 2^6 = 64
 
@@ -38,16 +38,16 @@ class PmMatrix:
         return True
 
 
-def _check_k(k: int, max_k: int, low: int = 0) -> None:
+def _check_k(k: int, low: int = 0, cap: int = DEFAULT_MAX_K) -> None:
     if k < low:
         raise ValueError(f"k must be >= {low}")
-    if k > max_k:
-        raise SizeCapExceeded(f"k={k} exceeds cap {max_k}")
+    if k > cap:
+        raise SizeCapExceeded(f"k={k} exceeds cap {cap}")
 
 
-def sylvester(k: int, max_k: int = DEFAULT_MAX_K) -> PmMatrix:
+def sylvester(k: int) -> PmMatrix:
     """The 2^k Sylvester Hadamard matrix, by blockwise doubling."""
-    _check_k(k, max_k)
+    _check_k(k)
     rows = [[1]]
     for _ in range(k):
         rows = [r + r for r in rows] + [r + [-e for e in r] for r in rows]
@@ -66,28 +66,24 @@ def _parity_rows(k: int) -> list:
     return rows
 
 
-def hadamard_code(
-    k: int, variant: Polarity = Polarity.ONE, max_k: int = DEFAULT_MAX_K
-) -> Signature:
+def hadamard_code(k: int, variant: Polarity = Polarity.ONE) -> Signature:
     """Rows of the Sylvester matrix as a binary code of length 2^k."""
-    _check_k(k, max_k)
+    _check_k(k)
     # ONE sets the +1 entries, the complement of the parity rows
     flip = (1 << (1 << k)) - 1 if variant is Polarity.ONE else 0
     return Signature._packed(1 << k, frozenset(r ^ flip for r in _parity_rows(k)))
 
 
-def balanced_code(
-    k: int, variant: Polarity = Polarity.ONE, max_k: int = DEFAULT_MAX_K
-) -> Signature:
+def balanced_code(k: int, variant: Polarity = Polarity.ONE) -> Signature:
     """Hadamard code with its constant word removed; all words have weight
     2^(k-1)."""
-    _check_k(k, max_k, low=1)
-    code = hadamard_code(k, variant, max_k)
+    _check_k(k, low=1)
+    code = hadamard_code(k, variant)
     const = (1 << code.arity) - 1 if variant is Polarity.ONE else 0
     return Signature._packed(code.arity, code.rows - {const})
 
 
-def butterfly(k: int, max_k: int = DEFAULT_MAX_K - 1) -> Signature:
+def butterfly(k: int) -> Signature:
     """The maximal affine signature with k free variables and pairwise
     non-identical variables; arity 2^(k+1), support 2^k.
 
@@ -96,7 +92,7 @@ def butterfly(k: int, max_k: int = DEFAULT_MAX_K - 1) -> Signature:
     m-1 (first free variable in the low bit); position m + 2^k carries its
     complement.  The first support row (all free variables 0) is 0...01...1.
     """
-    _check_k(k, max_k, low=1)
+    _check_k(k, low=1, cap=DEFAULT_MAX_K - 1)  # twice the codes' arity
     half = 1 << k
     full = (1 << half) - 1
     return Signature._packed(
@@ -104,31 +100,20 @@ def butterfly(k: int, max_k: int = DEFAULT_MAX_K - 1) -> Signature:
     )
 
 
-def wings(k: int, max_k: int = DEFAULT_MAX_K - 1) -> tuple:
-    """(left, right) halves of the butterfly with the constant row removed;
-    each has arity 2^k and support 2^k - 1."""
-    _check_k(k, max_k, low=1)
-    half = 1 << k
-    full = (1 << half) - 1
-    left = frozenset(_parity_rows(k)[1:])  # row 0 is the constant row
-    right = frozenset(r ^ full for r in left)
-    return Signature._packed(half, left), Signature._packed(half, right)
+def wings(k: int) -> tuple:
+    """(left, right) halves of butterfly(k) with the constant row removed:
+    the balanced 0- and 1-Hadamard codes of length 2^k."""
+    return balanced_code(k, Polarity.ZERO), balanced_code(k, Polarity.ONE)
 
 
-def basic_kernel(k: int, max_k: int = DEFAULT_MAX_K) -> Signature:
-    """The basic delta1-affine kernel of order k (arity 2^k, support 2^k - 1).
-
-    Orders 1 and 2 are the small special cases; from order 3 on this is the
-    right wing of the butterfly, equivalently the balanced 1-Hadamard code.
-    """
-    _check_k(k, max_k, low=1)
-    if k == 1:
-        return Signature.from_strings(["10"])
-    if k == 2:
-        return tensor(DELTA1, Signature.from_strings(["001", "010", "100"]))
-    return wings(k, max_k=max_k)[1]
+def basic_kernel(k: int) -> Signature:
+    """The basic delta1-affine kernel of order k: by the paper's
+    characterization of the base level, the balanced 1-Hadamard code of
+    length 2^k (arity 2^k, support 2^k - 1)."""
+    return balanced_code(k, Polarity.ONE)
 
 
-def basic_kernel_zero(k: int, max_k: int = DEFAULT_MAX_K) -> Signature:
-    """Dual basic kernel for the delta0-affine side."""
-    return complement(basic_kernel(k, max_k))
+def basic_kernel_zero(k: int) -> Signature:
+    """Dual basic kernel for the delta0-affine side: the complement of
+    basic_kernel(k), the balanced 0-Hadamard code."""
+    return balanced_code(k, Polarity.ZERO)

@@ -203,6 +203,8 @@ class WeightedSignature:
             k = tuple(k)
             if len(k) != self.arity:
                 raise ValueError(f"key {k} has length {len(k)}, expected {self.arity}")
+            if any(b not in (0, 1) for b in k):
+                raise ValueError(f"key {k} contains non-bit entries")
             if v < 0:
                 raise ValueError("values must be nonnegative")
             if v:
@@ -447,11 +449,12 @@ def enumerate_eo_supports(arity: int, max_support: int | None = None):
     half = arity // 2
     nvec = math.comb(arity, half)
     top = nvec if max_support is None else min(max_support, nvec)
-    total = sum(math.comb(nvec, size) for size in range(top + 1))
-    if total > MAX_ENUMERATED_SUPPORTS:
+    # stop at the first partial sum past the cap: the whole sum can take minutes
+    totals = itertools.accumulate(math.comb(nvec, s) for s in range(top + 1))
+    if any(total > MAX_ENUMERATED_SUPPORTS for total in totals):
         raise SizeCapExceeded(
-            f"{total} EO supports of arity {arity} exceed the cap of "
-            f"{MAX_ENUMERATED_SUPPORTS}; limit the support size"
+            f"more than 2^{MAX_ENUMERATED_SUPPORTS.bit_length() - 1} EO "
+            f"supports of arity {arity}; limit the support size"
         )
     vectors = [v for v in range(1 << arity) if v.bit_count() == half]
     return (

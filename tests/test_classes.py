@@ -18,7 +18,7 @@ from eocount import (
 )
 from eocount import canonical, canonical_form, classes
 from eocount.classes import KernelKind, direct_d1_kernel
-from eocount.errors import BudgetExceeded, StructureViolation
+from eocount.errors import BudgetExceeded, SizeCapExceeded, StructureViolation
 from eocount.hadamard import Polarity, balanced_code, basic_kernel, butterfly
 from eocount.signatures import (
     DELTA0,
@@ -177,6 +177,14 @@ def test_census_arity_4():
         assert ones and not zeros
 
 
+def test_census_refuses_too_many_supports_quickly():
+    # arity 14 has C(3432, s) supports of size s; the refusal stops summing
+    # at the cap and does not print the whole count
+    with pytest.raises(SizeCapExceeded) as err:
+        enumerate_eo_supports(14)
+    assert len(str(err.value)) < 200
+
+
 def test_kernel_column_balance():
     # every non-delta column of the stripped core splits the support evenly
     for k in (3, 4):
@@ -200,3 +208,21 @@ def test_classify_report():
 
     rep = classify(Signature.from_strings(["1110"]))
     assert not rep.is_eo
+
+
+def test_classify_runs_the_kernel_test_once(monkeypatch):
+    calls = []
+
+    def counted(f, cols):
+        calls.append(cols)
+        return strip_columns(f, cols)
+
+    monkeypatch.setattr(classes, "strip_columns", counted)
+    for f in (
+        basic_kernel(4),
+        complement(basic_kernel(4)),
+        m_multiple(basic_kernel(3), 2),
+    ):
+        calls.clear()
+        assert classify(f).kernel_info is not None
+        assert len(calls) == 1

@@ -1,8 +1,13 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import eocount
 from eocount import (
     SCALAR_ONE,
     SCALAR_ZERO,
@@ -142,6 +147,18 @@ def test_cli_gen_families():
         assert code == 0 and out.strip()
 
 
+def test_cli_gen_wing_and_kernel_are_the_balanced_codes():
+    for k in range(1, 7):
+        for variant in ("0", "1"):
+            balanced, wing, kernel = (
+                run_cli(["gen", kind, "--k", str(k), "--variant", variant])
+                for kind in ("balanced", "wing", "kernel")
+            )
+            assert balanced == wing == kernel
+            code, out = balanced
+            assert code == 0 and len(out.split()) == (1 << k) - 1
+
+
 def test_cli_gadget(tmp_path):
     left = tmp_path / "f2.sig"
     left.write_text("1100\n1010\n1001\n")
@@ -177,6 +194,8 @@ def test_cli_gadget_bad_pairs_are_errors(tmp_path, capsys, pairs):
     ["gen", "balanced", "--k", "0"],
     ["gen", "butterfly", "--k", "0"],
     ["gen", "wing", "--k", "0"],
+    # above the one cap on the codes' order
+    ["gen", "wing", "--k", "7"],
 ])
 def test_cli_gen_refuses_bad_m(capsys, argv):
     assert main(argv) == 2
@@ -199,6 +218,17 @@ def test_cli_census_refuses_too_many_supports_before_enumerating(capsys):
     # arity 8 has 70 half-weight vectors, so 2^70 supports
     assert main(["census", "--arity", "8"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_census_refuses_a_huge_census_quickly():
+    # the supports of arity 20 are too many even to add up in time
+    src = str(Path(eocount.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "eocount.cli", "census", "--arity", "20"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stdout == ""
 
 
 def test_cli_census_refuses_a_negative_max_support(capsys):

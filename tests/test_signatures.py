@@ -134,6 +134,8 @@ def test_weighted_signature():
     assert w.to_signature() == F2
     with pytest.raises(ValueError):
         WeightedSignature(2, {(0, 1): -1})
+    with pytest.raises(ValueError):
+        WeightedSignature(2, {(2, 0): 1, (0, 7): 3})
 
 
 def test_loop_diseq_matches_manual_count():
