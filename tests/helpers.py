@@ -4,10 +4,9 @@ references for the packed signature operations."""
 import random
 
 from eocount import Instance, Signature, complement
-from eocount.engine import _endpoint_map
 from eocount.affine import affine_system, count_packed, gf2_eliminate
 from eocount.errors import InstanceError, NotAffineError
-from eocount.signatures import bits_str, column_masks
+from eocount.signatures import bits_str, column_masks, is_eo
 
 
 def gauss_jordan(rows, ncols: int) -> list:
@@ -26,6 +25,50 @@ def gauss_jordan(rows, ncols: int) -> list:
                 m[i] = [x ^ y for x, y in zip(m[i], m[top])]
         top += 1
     return [sum(b << c for c, b in enumerate(row)) for row in m[:top]]
+
+
+def ref_validate(inst: Instance) -> tuple:
+    """(errors, warnings) from one bit mask of wired slots per vertex id.
+    A reference for ``validate``."""
+    errors, warnings = [], []
+    ids = [v for v, _ in inst.vertices]
+    if len(set(ids)) != len(ids):
+        errors.append("duplicate vertex ids")
+    labels = {}
+    for v, name in inst.vertices:
+        if name not in inst.signatures:
+            errors.append(f"vertex {v}: unknown signature {name!r}")
+        else:
+            labels[v] = inst.signatures[name]
+    wired = dict.fromkeys(labels, 0)  # vertex -> its wired slots, bit s - 1
+    for a, b in inst.edges:
+        for v, slot in (a, b):
+            if v not in labels:
+                errors.append(f"edge endpoint {v}.{slot}: unknown vertex")
+            elif not 1 <= slot <= labels[v].arity:
+                errors.append(
+                    f"edge endpoint {v}.{slot}: slot out of range "
+                    f"1..{labels[v].arity}"
+                )
+            else:
+                if wired[v] >> (slot - 1) & 1:
+                    errors.append(f"endpoint {v}.{slot} wired more than once")
+                wired[v] |= 1 << (slot - 1)
+    for v, sig in labels.items():
+        errors += [f"dangling slot {v}.{s}" for s in range(1, sig.arity + 1)
+                   if not wired[v] >> (s - 1) & 1]
+        if not is_eo(sig):
+            warnings.append(f"vertex {v}: label is not an EO signature")
+    return errors, warnings
+
+
+def _endpoint_map(inst: Instance) -> dict:
+    """(vertex, slot) -> (edge index, side)."""
+    out = {}
+    for e, (a, b) in enumerate(inst.edges):
+        out[a] = (e, 0)
+        out[b] = (e, 1)
+    return out
 
 
 def ref_brute_force(inst: Instance) -> int:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -35,6 +36,7 @@ from helpers import (
     random_instance,
     ref_brute_force,
     ref_solve_affine,
+    ref_validate,
 )
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
@@ -101,6 +103,21 @@ def test_validate_catches_bad_wiring():
     ]
 
 
+def test_validate_vs_reference_on_miswired_instances(rng):
+    # duplicate ids, unknown labels and vertices, slots out of range, twice
+    # wired and dangling, mixed in random order
+    sigs = {"f2": F2, "neq": NEQ2, "bad": Signature.from_strings(["11", "10"])}
+    for _ in range(300):
+        verts = tuple(
+            (f"v{rng.randrange(5)}", rng.choice([*sigs, "nope"]))
+            for _ in range(rng.randint(0, 5))
+        )
+        end = lambda: (f"v{rng.randrange(6)}", rng.randint(0, 5))
+        edges = tuple((end(), end()) for _ in range(rng.randint(0, 6)))
+        inst = Instance(sigs, verts, edges)
+        assert validate(inst) == ref_validate(inst)
+
+
 def test_validate_warns_on_non_eo_label():
     bad = Signature.from_strings(["11", "10"])
     inst = Instance(
@@ -150,6 +167,48 @@ def test_brute_force_cap():
     )
     with pytest.raises(InstanceError):
         brute_force(inst, cap=24)
+
+
+def half_wired_neq2():
+    return pair("neq", NEQ2, ((("v1", 1), ("v2", 1)),))
+
+
+def doubly_listed_self_loop():
+    return Instance(
+        signatures={"neq": NEQ2},
+        vertices=(("a", "neq"),),
+        edges=((("a", 1), ("a", 2)), (("a", 1), ("a", 2))),
+    )
+
+
+@pytest.mark.parametrize("make", [half_wired_neq2, doubly_listed_self_loop])
+@pytest.mark.parametrize(
+    "solver",
+    [brute_force, solve_affine, lambda inst: chain_reaction(inst, Polarity.ONE)],
+    ids=["brute_force", "solve_affine", "chain_reaction"],
+)
+def test_solvers_refuse_invalid_instances(solver, make):
+    inst = make()
+    errors, _ = validate(inst)
+    assert errors
+    with pytest.raises(InstanceError, match=re.escape("; ".join(errors))):
+        solver(inst)
+
+
+def test_instance_wiring_is_compiled_once(monkeypatch):
+    calls = 0
+    real = engine._compile
+
+    def counted(inst):
+        nonlocal calls
+        calls += 1
+        return real(inst)
+
+    monkeypatch.setattr(engine, "_compile", counted)
+    inst = crossed_f2()
+    assert solve(inst).count == brute_force(inst).count == 2
+    assert validate(inst) == ([], [])
+    assert calls == 1
 
 
 def test_solve_affine_examples():
@@ -247,35 +306,35 @@ def test_chain_vs_brute_planted_both_polarities():
 
 def test_chain_is_affine_calls_stay_linear(monkeypatch):
     calls = 0
-    real = engine.is_affine
+    real = engine._affine_basis  # the engine's one affine test
 
     def counted(sig):
         nonlocal calls
         calls += 1
         return real(sig)
 
-    monkeypatch.setattr(engine, "is_affine", counted)
+    monkeypatch.setattr(engine, "_affine_basis", counted)
     inst = planted_instance(random.Random(7), CHAIN_POOL, 800)
     res = chain_reaction(inst, Polarity.ONE, trace=True)
     steps = sum(s.startswith(("propagated", "self-loop")) for s in res.steps)
     assert len(inst.vertices) >= 300
     assert res.count >= 1 and steps >= len(inst.vertices)
-    # is_affine runs only for a pinned neighbour left without a forced
-    # slot, at most once per step: 101 calls for 341 vertices and 799 steps
+    # an affine test runs once per distinct label: the starting labels, a
+    # pinned neighbour left without a forced slot, and the labels at the
+    # fixpoint: 18 calls for 341 vertices and 799 steps
     assert calls <= len(inst.vertices) // 2
 
 
 def test_affine_solve_classifies_each_label_once(monkeypatch):
     # classification and counting share one affine reduction per label
     calls = Counter()
-    for name in ("_affine_basis", "is_affine"):
-        real = getattr(engine, name)
+    real = engine._affine_basis
 
-        def counted(sig, real=real):
-            calls[sig] += 1
-            return real(sig)
+    def counted(sig):
+        calls[sig] += 1
+        return real(sig)
 
-        monkeypatch.setattr(engine, name, counted)
+    monkeypatch.setattr(engine, "_affine_basis", counted)
     rng = random.Random(11)
     pool = [NEQ2] + [random_affine_eo(rng, h) for h in (2, 2, 3, 3)]
     inst = planted_instance(rng, pool, 60)
@@ -284,6 +343,16 @@ def test_affine_solve_classifies_each_label_once(monkeypatch):
     res = solve(inst)
     assert res.method is Method.AFFINE and res.count >= 1
     assert set(calls) == labels
+    assert max(calls.values()) == 1
+    # on the chain path, the propagation checks and the residual count
+    # reuse the reductions that classification made
+    calls.clear()
+    chain = planted_instance(random.Random(6), CHAIN_POOL, 60)
+    res = solve(chain, trace=True)
+    assert res.method is Method.CHAIN_D1
+    residual = res.steps[-1].split()
+    assert residual[:3] == ["affine", "residual", "with"] and int(residual[3]) >= 1
+    assert set(chain.labels().values()) <= set(calls)
     assert max(calls.values()) == 1
 
 
@@ -356,21 +425,20 @@ def mixed_f2_g2():
     )
 
 
-class Unchecked(engine._Classes):
+@pytest.fixture
+def unchecked(monkeypatch):
     """Lets any label past the chain reaction's tractable precondition."""
-
-    def tractable(self, sig, t):
-        return True
+    monkeypatch.setattr(engine._Classes, "tractable", lambda self, sig, t: True)
 
 
-def test_chain_invariant_checked_on_every_step():
+def test_chain_invariant_checked_on_every_step(unchecked):
     # G2 lies outside the delta1 class: pinning its slot 1 to 0 leaves a
     # non-affine label without a forced slot
     with pytest.raises(InstanceError, match="non-affine label with no forced"):
-        chain_reaction(mixed_f2_g2(), Polarity.ONE, label_classes=Unchecked())
+        chain_reaction(mixed_f2_g2(), Polarity.ONE)
 
 
-def test_chain_fixpoint_refuses_a_non_affine_residual():
+def test_chain_fixpoint_refuses_a_non_affine_residual(unchecked):
     # G2 has no constant-1 column and NEQ2 none at all, so nothing fires,
     # no step checks a neighbour, and G2 is left non-affine at the fixpoint
     inst = Instance(
@@ -381,7 +449,7 @@ def test_chain_fixpoint_refuses_a_non_affine_residual():
     )
     assert validate(inst) == ([], [])
     with pytest.raises(InstanceError, match="vertex g: label still non-affine at the fixpoint"):
-        chain_reaction(inst, Polarity.ONE, label_classes=Unchecked())
+        chain_reaction(inst, Polarity.ONE)
 
 
 def test_solve_mixed_polarity_falls_back():
