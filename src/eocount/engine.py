@@ -374,13 +374,15 @@ def chain_reaction(
         j = live[v].index(q) + 1
         if v == u:
             sig[u] = pin2(f, pos, j, t, 1 - t)
-            note(f"self-loop at {ids[u]}: pinned slots "
-                 f"{p - start[u] + 1},{q - start[u] + 1}")
+            if trace:  # format the step only when it is kept
+                steps.append(f"self-loop at {ids[u]}: pinned slots "
+                             f"{p - start[u] + 1},{q - start[u] + 1}")
         else:
             sig[u] = pin(f, pos, t)
             sig[v] = pin(sig[v], j, 1 - t)
-            note(f"propagated {ids[u]}.{p - start[u] + 1} -> "
-                 f"{ids[v]}.{q - start[v] + 1}")
+            if trace:
+                steps.append(f"propagated {ids[u]}.{p - start[u] + 1} -> "
+                             f"{ids[v]}.{q - start[v] + 1}")
         del live[u][pos - 1]
         live[v].remove(q)
         if sig[u].is_zero() or sig[v].is_zero():

@@ -14,15 +14,15 @@ Three sections::
     [edges]
     v1.1 v1.2
 
-Signature blocks use the signature text format; `#` comments and blank
-lines are ignored everywhere (a blank line ends a signature block).
+Signature blocks use the signature text format.  `#` starts a comment; a
+comment-only line is ignored, and only a blank line ends a signature block.
 """
 
 from __future__ import annotations
 
 from .engine import Instance
 from .errors import FormatError
-from .signatures import Signature, signature_from_text, signature_to_text
+from .signatures import _signature_of, signature_to_text
 
 
 def instance_to_text(inst: Instance) -> str:
@@ -41,11 +41,11 @@ def instance_to_text(inst: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
-def _endpoint(token: str, lineno: int):
-    v, dot, slot = token.rpartition(".")
+def _endpoint(token: str, lineno: int) -> None:
+    """Raise on a token that is not ``vertex.slot``."""
+    _, dot, slot = token.rpartition(".")
     if not dot or not slot.isdigit():
         raise FormatError(f"line {lineno}: bad endpoint {token!r}")
-    return v, int(slot)
 
 
 def instance_from_text(text: str) -> Instance:
@@ -54,30 +54,29 @@ def instance_from_text(text: str) -> Instance:
     vertices: list = []
     edges: list = []
     block_name = None
-    block_lines: list = []
+    block: list = []  # (line number, row) pairs of the open signature block
 
     def close_block():
-        nonlocal block_name, block_lines
+        nonlocal block_name, block
         if block_name is not None:
-            if not block_lines:
+            if not block:
                 raise FormatError(f"signature block {block_name!r} is empty")
-            signatures[block_name] = signature_from_text("\n".join(block_lines))
-        block_name, block_lines = None, []
+            signatures[block_name] = _signature_of(block)
+        block_name, block = None, []
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw[: raw.index("#")].strip() if "#" in raw else raw.strip()
         if not line:
-            if section == "signatures":
-                close_block()
+            if section == "signatures" and "#" not in raw:
+                close_block()  # a blank line ends a block, a comment line does not
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             close_block()
             section = line[1:-1].strip().lower()
             if section not in ("signatures", "vertices", "edges"):
                 raise FormatError(f"line {lineno}: unknown section {section!r}")
-            continue
-        if section == "signatures":
-            if line.endswith(":"):
+        elif section == "signatures":
+            if line[-1] == ":":
                 close_block()
                 block_name = line[:-1].strip()
                 if not block_name:
@@ -89,17 +88,22 @@ def instance_from_text(text: str) -> Instance:
             elif block_name is None:
                 raise FormatError(f"line {lineno}: row outside a signature block")
             else:
-                block_lines.append(line)
-        elif section == "vertices":
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"line {lineno}: expected '<vertex> <signature>'")
-            vertices.append((parts[0], parts[1]))
+                block.append((lineno, line))
         elif section == "edges":
             parts = line.split()
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: expected two endpoints")
-            edges.append((_endpoint(parts[0], lineno), _endpoint(parts[1], lineno)))
+            va, dot_a, sa = parts[0].rpartition(".")
+            vb, dot_b, sb = parts[1].rpartition(".")
+            if not (dot_a and sa.isdigit() and dot_b and sb.isdigit()):
+                _endpoint(parts[0], lineno)
+                _endpoint(parts[1], lineno)
+            edges.append(((va, int(sa)), (vb, int(sb))))
+        elif section == "vertices":
+            parts = line.split()
+            if len(parts) != 2:
+                raise FormatError(f"line {lineno}: expected '<vertex> <signature>'")
+            vertices.append(tuple(parts))
         else:
             raise FormatError(f"line {lineno}: content before any section")
     close_block()

@@ -38,24 +38,6 @@ def bits_str(bits: BitVector) -> str:
     return "".join(str(b) for b in bits)
 
 
-def _parse_row(text: str) -> int:
-    if text.strip("01"):
-        raise FormatError(f"not a 0/1 string: {text!r}")
-    return int(text[::-1], 2) if text else 0
-
-
-def _pack_rows(arity: int, support: Iterable) -> frozenset:
-    rows = set()
-    for r in support:
-        if len(r) != arity:
-            raise ValueError(f"row {r!r} has length {len(r)}, expected {arity}")
-        try:
-            rows.add(int(bytes(r).translate(_DIGITS)[::-1], 2) if arity else 0)
-        except (TypeError, ValueError):
-            raise ValueError(f"row {r!r} contains non-bit entries") from None
-    return frozenset(rows)
-
-
 def _strings(f: "Signature") -> list:
     """The support rows as 0/1 strings, variable ``arity`` first."""
     if not f.arity:
@@ -81,23 +63,34 @@ class Signature:
     def __init__(self, arity: int, support: Iterable = frozenset()):
         if arity < 0:
             raise ValueError("arity must be nonnegative")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "rows", _pack_rows(arity, support))
-        object.__setattr__(self, "_support", None)
+        rows = set()
+        for r in support:
+            if len(r) != arity:
+                raise ValueError(f"row {r!r} has length {len(r)}, expected {arity}")
+            try:
+                rows.add(int(bytes(r).translate(_DIGITS)[::-1], 2) if arity else 0)
+            except (TypeError, ValueError):
+                raise ValueError(f"row {r!r} contains non-bit entries") from None
+        _set_arity(self, arity)
+        _set_rows(self, frozenset(rows))
+        _set_support(self, None)
 
-    @classmethod
-    def _packed(cls, arity: int, rows: frozenset) -> "Signature":
+    @staticmethod
+    def _packed(arity: int, rows: frozenset) -> "Signature":
         """A signature of ints already packed below ``1 << arity``, unchecked."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "arity", arity)
-        object.__setattr__(f, "rows", rows)
-        object.__setattr__(f, "_support", None)
+        f = object.__new__(Signature)
+        _set_arity(f, arity)
+        _set_rows(f, rows)
+        _set_support(f, None)
         return f
 
     @classmethod
     def from_strings(cls, rows: Iterable[str], arity: int | None = None) -> "Signature":
         rows = list(rows)
-        packed = frozenset(_parse_row(r) for r in rows)
+        for r in rows:
+            if r.strip("01"):
+                raise FormatError(f"not a 0/1 string: {r!r}")
+        packed = frozenset(int(r[::-1], 2) if r else 0 for r in rows)
         if arity is None:
             if not rows:
                 raise ValueError("arity required for an empty support")
@@ -120,7 +113,7 @@ class Signature:
             view = frozenset(
                 tuple(s.encode().translate(_UNDIGITS)[::-1]) for s in _strings(self)
             )
-            object.__setattr__(self, "_support", view)
+            _set_support(self, view)
         return view
 
     def __contains__(self, bits) -> bool:
@@ -141,6 +134,11 @@ class Signature:
     def is_zero(self) -> bool:
         return not self.rows
 
+
+# The frozen dataclass refuses setattr; each field is set once, at
+# construction, through its slot's own descriptor.
+_set_arity, _set_rows, _set_support = (
+    Signature.__dict__[name].__set__ for name in ("arity", "rows", "_support"))
 
 SCALAR_ONE = Signature(0, frozenset({()}))
 SCALAR_ZERO = Signature(0, frozenset())
@@ -213,13 +211,6 @@ class WeightedSignature:
 
     def __getitem__(self, bits) -> int:
         return self.values.get(tuple(bits), 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeightedSignature)
-            and self.arity == other.arity
-            and self.values == other.values
-        )
 
     def to_signature(self) -> Signature:
         """Lossless conversion, valid only when all values are 0 or 1."""
@@ -406,34 +397,38 @@ def signature_to_text(f: Signature) -> str:
     return "".join(s + "\n" for s in sorted(s[::-1] for s in _strings(f)))
 
 
-def signature_from_text(text: str) -> Signature:
-    arity = None
-    width = None
-    rows = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("arity"):
-            parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise FormatError(f"line {lineno}: bad arity header {raw!r}")
-            arity = int(parts[1])
-            continue
-        if line == EMPTY_ROW:
-            line = ""
-        rows.add(_parse_row(line))
+def _signature_of(rows: Iterable) -> Signature:
+    """The signature of a text block as (line number, stripped nonblank row) pairs."""
+    arity = width = None
+    packed = set()
+    for lineno, row in rows:
+        if row.strip("01"):
+            if row.startswith("arity"):
+                parts = row.split()
+                if len(parts) != 2 or not parts[1].isdigit():
+                    raise FormatError(f"line {lineno}: bad arity header {row!r}")
+                arity = int(parts[1])
+                continue
+            if row != EMPTY_ROW:
+                raise FormatError(f"line {lineno}: not a 0/1 string: {row!r}")
+            row = ""
         if width is None:
-            width = len(line)
-        elif len(line) != width:
-            raise FormatError("rows have unequal lengths")
+            width = len(row)
+        elif len(row) != width:
+            raise FormatError(f"line {lineno}: rows have unequal lengths")
+        packed.add(int(row[::-1], 2) if row else 0)
     if width is not None:
         if arity is not None and arity != width:
             raise FormatError(f"arity header {arity} does not match row length {width}")
         arity = width
     elif arity is None:
         raise FormatError("empty support requires an `arity N` header")
-    return Signature._packed(arity, frozenset(rows))
+    return Signature._packed(arity, frozenset(packed))
+
+
+def signature_from_text(text: str) -> Signature:
+    rows = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return _signature_of((n, row) for n, row in enumerate(rows, 1) if row)
 
 
 def enumerate_eo_supports(arity: int, max_support: int | None = None):

@@ -1,11 +1,12 @@
-"""Random signatures and instances shared by the tests, and bit-vector
-references for the packed signature operations."""
+"""Random signatures and instances shared by the tests, bit-vector
+references for the packed signature operations, and a reference parser of
+the instance text format."""
 
 import random
 
 from eocount import Instance, Signature, complement
 from eocount.affine import affine_system, count_packed, gf2_eliminate
-from eocount.errors import InstanceError, NotAffineError
+from eocount.errors import FormatError, InstanceError, NotAffineError
 from eocount.signatures import bits_str, column_masks, is_eo
 
 
@@ -389,3 +390,116 @@ def ref_text(n, sup):
     if not sup:
         return f"arity {n}\n"
     return "".join((bits_str(r) or "-") + "\n" for r in sorted(sup))
+
+
+# -- reference parser -----------------------------------------------------------
+# The instance parser as it read text before it was made one pass: every
+# signature block is joined back into text and parsed again line by line.
+# Its two faults are kept: errors inside a block number the lines of the
+# block (or give no line), and a comment-only line ends a block.
+
+def _ref_parse_row(text: str) -> int:
+    if text.strip("01"):
+        raise FormatError(f"not a 0/1 string: {text!r}")
+    return int(text[::-1], 2) if text else 0
+
+
+def _ref_signature_from_text(text: str) -> Signature:
+    arity = None
+    width = None
+    rows = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("arity"):
+            parts = line.split()
+            if len(parts) != 2 or not parts[1].isdigit():
+                raise FormatError(f"line {lineno}: bad arity header {raw!r}")
+            arity = int(parts[1])
+            continue
+        if line == "-":
+            line = ""
+        rows.add(_ref_parse_row(line))
+        if width is None:
+            width = len(line)
+        elif len(line) != width:
+            raise FormatError("rows have unequal lengths")
+    if width is not None:
+        if arity is not None and arity != width:
+            raise FormatError(f"arity header {arity} does not match row length {width}")
+        arity = width
+    elif arity is None:
+        raise FormatError("empty support requires an `arity N` header")
+    return Signature._packed(arity, frozenset(rows))
+
+
+def _ref_endpoint(token: str, lineno: int):
+    v, dot, slot = token.rpartition(".")
+    if not dot or not slot.isdigit():
+        raise FormatError(f"line {lineno}: bad endpoint {token!r}")
+    return v, int(slot)
+
+
+def ref_instance_from_text(text: str) -> Instance:
+    """A reference for ``instance_from_text``."""
+    section = None
+    signatures: dict = {}
+    vertices: list = []
+    edges: list = []
+    block_name = None
+    block_lines: list = []
+
+    def close_block():
+        nonlocal block_name, block_lines
+        if block_name is not None:
+            if not block_lines:
+                raise FormatError(f"signature block {block_name!r} is empty")
+            signatures[block_name] = _ref_signature_from_text("\n".join(block_lines))
+        block_name, block_lines = None, []
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            if section == "signatures":
+                close_block()
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            close_block()
+            section = line[1:-1].strip().lower()
+            if section not in ("signatures", "vertices", "edges"):
+                raise FormatError(f"line {lineno}: unknown section {section!r}")
+            continue
+        if section == "signatures":
+            if line.endswith(":"):
+                close_block()
+                block_name = line[:-1].strip()
+                if not block_name:
+                    raise FormatError(f"line {lineno}: empty signature name")
+                if block_name in signatures:
+                    raise FormatError(
+                        f"line {lineno}: duplicate signature name {block_name!r}"
+                    )
+            elif block_name is None:
+                raise FormatError(f"line {lineno}: row outside a signature block")
+            else:
+                block_lines.append(line)
+        elif section == "vertices":
+            parts = line.split()
+            if len(parts) != 2:
+                raise FormatError(f"line {lineno}: expected '<vertex> <signature>'")
+            vertices.append((parts[0], parts[1]))
+        elif section == "edges":
+            parts = line.split()
+            if len(parts) != 2:
+                raise FormatError(f"line {lineno}: expected two endpoints")
+            edges.append(
+                (_ref_endpoint(parts[0], lineno), _ref_endpoint(parts[1], lineno))
+            )
+        else:
+            raise FormatError(f"line {lineno}: content before any section")
+    close_block()
+    for v, name in vertices:
+        if name not in signatures:
+            raise FormatError(f"vertex {v} references unknown signature {name!r}")
+    return Instance(signatures, tuple(vertices), tuple(edges))

@@ -267,7 +267,14 @@ def test_chain_reaction_precondition():
 
 def test_chain_reaction_trace():
     res = chain_reaction(crossed_f2(), Polarity.ONE, trace=True)
-    assert res.steps
+    assert res.steps == ("propagated v1.1 -> v2.2", "propagated v2.1 -> v1.2",
+                         "affine residual with 2 edges: count 2")
+    assert chain_reaction(crossed_f2(), Polarity.ONE).steps is None
+    loop = Instance({"f2": F2}, (("v", "f2"),),
+                    ((("v", 1), ("v", 2)), (("v", 3), ("v", 4))))
+    res = chain_reaction(loop, Polarity.ONE, trace=True)
+    assert res.steps == ("self-loop at v: pinned slots 1,2",
+                         "affine residual with 1 edges: count 2")
 
 
 CHAIN_POOL = [

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,3 +277,18 @@ def test_packed_operations_match_bit_vector_references(case, data):
 def test_packed_tensor_matches_reference(left, right):
     f, g = Signature(*left), Signature(*right)
     assert view(tensor(f, g)) == helpers.ref_tensor(*left, *right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bit_supports())
+def test_packed_constructor_matches_public_one(case):
+    n, sup = case
+    f = Signature(n, sup)
+    g = Signature._packed(n, f.rows)
+    assert type(g) is Signature
+    assert g == f and hash(g) == hash(f)
+    for name, value in (("arity", 0), ("rows", frozenset()), ("_support", None)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(g, name, value)
+    assert g._support is None  # the tuple view waits for its first use
+    assert g.support == sup and g._support is g.support
