@@ -63,7 +63,6 @@ from .signatures import (
     Signature,
     WeightedSignature,
     complement,
-    connect,
     delta_factors,
     extract,
     hat,
@@ -92,7 +91,7 @@ __all__ = [
     "basic_kernel_zero", "butterfly", "hadamard_code", "sylvester", "wings",
     "instance_from_text", "instance_to_text",
     "DELTA0", "DELTA1", "NEQ2", "SCALAR_ONE", "SCALAR_ZERO",
-    "Signature", "WeightedSignature", "complement", "connect",
+    "Signature", "WeightedSignature", "complement",
     "delta_factors", "extract", "hat", "is_eo",
     "m_multiple", "multiple_decompose", "pin", "pin2",
     "signature_from_text", "signature_to_text", "strip_columns", "tensor",

@@ -160,9 +160,9 @@ def constant_weight_profile(f: Signature) -> tuple:
     return (not weights), None
 
 
-def random_affine_signature(rng, n: int, max_dim: int | None = None) -> Signature:
+def random_affine_signature(rng, n: int) -> Signature:
     """Sample a random nonempty affine signature of arity n."""
-    dim = rng.randint(0, n if max_dim is None else min(n, max_dim))
+    dim = rng.randint(0, n)
     offset = rng.getrandbits(n)
     vecs = [rng.getrandbits(n) for _ in range(dim)]
     basis = gf2_eliminate(vecs, n)

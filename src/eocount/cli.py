@@ -23,10 +23,13 @@ from .signatures import (
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise EOError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(pairs, fmt: str) -> None:

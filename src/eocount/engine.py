@@ -9,7 +9,7 @@ an instance through one record, compiled once per instance (``_Wiring``).
 from __future__ import annotations
 
 import enum
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_, or_
@@ -20,11 +20,11 @@ from .errors import InstanceError
 from .signatures import (
     Signature,
     WeightedSignature,
+    _compress,
     is_eo,
-    loop_diseq,
     pin,
     pin2,
-    weighted_tensor,
+    tensor,
 )
 from .hadamard import Polarity
 
@@ -439,26 +439,30 @@ def solve(inst: Instance, method: str = "auto", trace: bool = False) -> CountRes
     )
 
 
-def gadget_demo_hardness(f, g, pairs) -> WeightedSignature:
+def gadget_demo_hardness(f: Signature, g: Signature, pairs) -> WeightedSignature:
     """Connect variable i of f to variable j of g with a disequality for each
-    (i, j) pair; remaining variables keep f-then-g order."""
-    wf, wg = WeightedSignature.of(f), WeightedSignature.of(g)
+    (i, j) pair; remaining variables keep f-then-g order.
+
+    The rows of ``tensor(f, g)`` whose two bits differ on every pair lose the
+    looped columns; a result is worth the number of rows that compress to it.
+    """
     if len({i for i, _ in pairs}) != len(pairs) or len(
         {j for _, j in pairs}
     ) != len(pairs):
         raise IndexError("pairs reuse a variable")
     for i, _ in pairs:
-        if not 1 <= i <= wf.arity:
+        if not 1 <= i <= f.arity:
             raise IndexError(f"left index {i} out of range")
     for _, j in pairs:
-        if not 1 <= j <= wg.arity:
+        if not 1 <= j <= g.arity:
             raise IndexError(f"right index {j} out of range")
-    h = weighted_tensor(wf, wg)
-    removed: list = []  # tensor indices already looped away
-    for i, j in pairs:
-        a, b = i, wf.arity + j
-        h = loop_diseq(
-            h, a - sum(r < a for r in removed), b - sum(r < b for r in removed)
-        )
-        removed += [a, b]
-    return h
+    shifts = [(i - 1, f.arity + j - 1) for i, j in pairs]
+    arity = f.arity + g.arity - 2 * len(pairs)
+    keep = ((1 << f.arity + g.arity) - 1) ^ sum(1 << a | 1 << b for a, b in shifts)
+    rows = (
+        r for r in tensor(f, g).rows if all((r >> a ^ r >> b) & 1 for a, b in shifts)
+    )
+    counts = Counter(_compress(rows, keep))
+    return WeightedSignature(
+        arity, {tuple(r >> k & 1 for k in range(arity)): v for r, v in counts.items()}
+    )

@@ -44,7 +44,7 @@ def instance_to_text(inst: Instance) -> str:
 def _endpoint(token: str, lineno: int) -> None:
     """Raise on a token that is not ``vertex.slot``."""
     _, dot, slot = token.rpartition(".")
-    if not dot or not slot.isdigit():
+    if not dot or not slot.isdecimal():
         raise FormatError(f"line {lineno}: bad endpoint {token!r}")
 
 
@@ -95,7 +95,7 @@ def instance_from_text(text: str) -> Instance:
                 raise FormatError(f"line {lineno}: expected two endpoints")
             va, dot_a, sa = parts[0].rpartition(".")
             vb, dot_b, sb = parts[1].rpartition(".")
-            if not (dot_a and sa.isdigit() and dot_b and sb.isdigit()):
+            if not (dot_a and sa.isdecimal() and dot_b and sb.isdecimal()):
                 _endpoint(parts[0], lineno)
                 _endpoint(parts[1], lineno)
             edges.append(((va, int(sa)), (vb, int(sb))))

@@ -1,5 +1,5 @@
 """0-1 signatures represented by their supports, and the syntactic operations
-on them: pinning, extracting, tensoring, looping, complements and friends.
+on them: pinning, extracting, tensoring, complements and friends.
 
 A support row is stored packed in an int, bit i holding variable i+1, so the
 operations on supports are mask operations.  Variable indices are 1-based at
@@ -116,9 +116,6 @@ class Signature:
             _set_support(self, view)
         return view
 
-    def __contains__(self, bits) -> bool:
-        return tuple(bits) in self.support
-
     def rows_sorted(self) -> list:
         return sorted(self.support)
 
@@ -168,9 +165,9 @@ def permute_columns(f: Signature, perm) -> Signature:
     )
 
 
-def _compress(rows: frozenset, keep: int) -> frozenset:
+def _compress(rows: Iterable[int], keep: int) -> list:
     """The bits of each row at the set bits of ``keep``, moved down in order
-    to bits 0, 1, ..."""
+    to bits 0, 1, ...; one int per row, so equal results are all kept."""
     runs = []  # (shift, width mask, destination) per run of kept bits
     dest = 0
     while keep:
@@ -179,17 +176,15 @@ def _compress(rows: frozenset, keep: int) -> frozenset:
         runs.append((shift, (1 << width) - 1, dest))
         keep ^= ((1 << width) - 1) << shift
         dest += width
-    return frozenset(
-        sum(((r >> s) & m) << d for s, m, d in runs) for r in rows
-    )
+    return [sum(((r >> s) & m) << d for s, m, d in runs) for r in rows]
 
 
 @dataclass(frozen=True)
 class WeightedSignature:
     """Arity plus a map from bit vector to nonnegative integer value.
 
-    Absent keys mean 0.  Produced by disequality looping, where a vector may
-    pick up value 2 or more.
+    Absent keys mean 0.  Produced by ``engine.gadget_demo_hardness``, where
+    several rows may compress to one vector, which then has value 2 or more.
     """
 
     arity: int
@@ -208,21 +203,6 @@ class WeightedSignature:
             if v:
                 vals[k] = int(v)
         object.__setattr__(self, "values", vals)
-
-    def __getitem__(self, bits) -> int:
-        return self.values.get(tuple(bits), 0)
-
-    def to_signature(self) -> Signature:
-        """Lossless conversion, valid only when all values are 0 or 1."""
-        if any(v > 1 for v in self.values.values()):
-            raise ValueError("values exceed 1; not a 0-1 signature")
-        return Signature(self.arity, frozenset(self.values))
-
-    @classmethod
-    def of(cls, f) -> "WeightedSignature":
-        if isinstance(f, WeightedSignature):
-            return f
-        return cls(f.arity, {r: 1 for r in f.support})
 
 
 def is_eo(f: Signature) -> bool:
@@ -262,40 +242,9 @@ def pin2(f: Signature, i: int, j: int, a: int, b: int) -> Signature:
     mask, want = bi | bj, a * bi | b * bj
     keep = ((1 << f.arity) - 1) ^ mask
     return Signature._packed(
-        f.arity - 2, _compress(frozenset(r for r in f.rows if (r & mask) == want), keep)
+        f.arity - 2,
+        frozenset(_compress((r for r in f.rows if (r & mask) == want), keep)),
     )
-
-
-def loop_diseq(f, i: int, j: int) -> WeightedSignature:
-    """Connect variables i and j of f through a disequality; values may sum."""
-    w = WeightedSignature.of(f)
-    if i == j:
-        raise IndexError("loop_diseq requires two distinct variables")
-    for idx in (i, j):
-        if not 1 <= idx <= w.arity:
-            raise IndexError(f"variable index {idx} out of range 1..{w.arity}")
-    lo, hi = sorted((i, j))
-    out: dict = {}
-    for r, v in w.values.items():
-        if r[i - 1] != r[j - 1]:
-            key = r[: lo - 1] + r[lo : hi - 1] + r[hi:]
-            out[key] = out.get(key, 0) + v
-    return WeightedSignature(w.arity - 2, out)
-
-
-def weighted_tensor(f, g) -> WeightedSignature:
-    wf, wg = WeightedSignature.of(f), WeightedSignature.of(g)
-    out: dict = {}
-    for a, va in wf.values.items():
-        for b, vb in wg.values.items():
-            out[a + b] = va * vb
-    return WeightedSignature(wf.arity + wg.arity, out)
-
-
-def connect(f, i: int, g, j: int) -> WeightedSignature:
-    """Join variable i of f to variable j of g through a disequality edge."""
-    wf, wg = WeightedSignature.of(f), WeightedSignature.of(g)
-    return loop_diseq(weighted_tensor(wf, wg), i, wf.arity + j)
 
 
 def tensor(f: Signature, g: Signature) -> Signature:
@@ -348,7 +297,7 @@ def strip_columns(f: Signature, drop: Iterable[int]) -> Signature:
     for i in set(drop):
         if 1 <= i <= f.arity:
             keep ^= 1 << (i - 1)
-    return Signature._packed(keep.bit_count(), _compress(f.rows, keep))
+    return Signature._packed(keep.bit_count(), frozenset(_compress(f.rows, keep)))
 
 
 def m_multiple(f: Signature, m: int) -> Signature:
@@ -378,7 +327,8 @@ def multiple_decompose(f: Signature) -> tuple:
     (m,) = sizes
     # first members ascend, so the base keeps them in group order
     keep = sum(1 << (g[0] - 1) for g in groups)
-    return Signature._packed(len(groups), _compress(f.rows, keep)), m, groups
+    base = Signature._packed(len(groups), frozenset(_compress(f.rows, keep)))
+    return base, m, groups
 
 
 # -- text format ------------------------------------------------------------
@@ -405,7 +355,7 @@ def _signature_of(rows: Iterable) -> Signature:
         if row.strip("01"):
             if row.startswith("arity"):
                 parts = row.split()
-                if len(parts) != 2 or not parts[1].isdigit():
+                if len(parts) != 2 or not parts[1].isdecimal():
                     raise FormatError(f"line {lineno}: bad arity header {row!r}")
                 arity = int(parts[1])
                 continue

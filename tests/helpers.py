@@ -392,6 +392,34 @@ def ref_text(n, sup):
     return "".join((bits_str(r) or "-") + "\n" for r in sorted(sup))
 
 
+def _ref_loop_diseq(n, values, i, j):
+    """Join variables i and j of (arity, bit vector -> value) through a
+    disequality; rows that lose their two columns to one key add up."""
+    lo, hi = sorted((i, j))
+    out: dict = {}
+    for r, v in values.items():
+        if r[i - 1] != r[j - 1]:
+            key = r[: lo - 1] + r[lo : hi - 1] + r[hi:]
+            out[key] = out.get(key, 0) + v
+    return n - 2, out
+
+
+def ref_gadget(n, sup, n2, sup2, pairs):
+    """(arity, values) of ``gadget_demo_hardness``: the weighted tensor, then
+    one disequality loop per pair, each at the indices the earlier loops
+    left."""
+    arity, values = n + n2, {a + b: 1 for a in sup for b in sup2}
+    removed: list = []  # tensor indices already looped away
+    for i, j in pairs:
+        a, b = i, n + j
+        arity, values = _ref_loop_diseq(
+            arity, values,
+            a - sum(r < a for r in removed), b - sum(r < b for r in removed),
+        )
+        removed += [a, b]
+    return arity, values
+
+
 # -- reference parser -----------------------------------------------------------
 # The instance parser as it read text before it was made one pass: every
 # signature block is joined back into text and parsed again line by line.
@@ -414,7 +442,7 @@ def _ref_signature_from_text(text: str) -> Signature:
             continue
         if line.startswith("arity"):
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise FormatError(f"line {lineno}: bad arity header {raw!r}")
             arity = int(parts[1])
             continue
@@ -436,7 +464,7 @@ def _ref_signature_from_text(text: str) -> Signature:
 
 def _ref_endpoint(token: str, lineno: int):
     v, dot, slot = token.rpartition(".")
-    if not dot or not slot.isdigit():
+    if not dot or not slot.isdecimal():
         raise FormatError(f"line {lineno}: bad endpoint {token!r}")
     return v, int(slot)
 

@@ -35,6 +35,7 @@ from helpers import (
     random_affine_eo,
     random_instance,
     ref_brute_force,
+    ref_gadget,
     ref_solve_affine,
     ref_validate,
 )
@@ -474,6 +475,44 @@ def test_gadget_demo_hardness():
         "0011", "1001", "1010", "0101", "0110"
     }
     assert set(h.values.values()) == {1}
+
+
+def test_gadget_self_loop_through_neq2():
+    # x1 != y1, x2 != y2 and NEQ2's y1 != y2 loop f2's slots 1 and 2
+    # through a disequality, which leaves the arity-2 residual
+    h = gadget_demo_hardness(F2, NEQ2, [(1, 1), (2, 2)])
+    assert h.arity == 2 and h.values == {(1, 0): 1, (0, 1): 1}
+
+
+def test_gadget_joins_delta1_to_neq2():
+    h = gadget_demo_hardness(DELTA1, NEQ2, [(1, 1)])
+    assert h.arity == 1 and h.values == {(1,): 1}
+
+
+def test_gadget_sums_rows_that_compress_together():
+    # both rows of NEQ2 (x) NEQ2 meet the two disequalities and lose every column
+    h = gadget_demo_hardness(NEQ2, NEQ2, [(1, 1), (2, 2)])
+    assert h.arity == 0 and h.values == {(): 2}
+
+
+GADGET_POOL = [
+    basic_kernel(1), basic_kernel(2), basic_kernel(3), butterfly(1), NEQ2,
+    DELTA1, DELTA0, G2, m_multiple(basic_kernel(2), 2), tensor(NEQ2, F2),
+]
+
+
+def test_gadget_matches_reference_on_random_pairs(rng):
+    weighted = 0
+    for _ in range(400):
+        f, g = rng.choice(GADGET_POOL), rng.choice(GADGET_POOL)
+        k = rng.randint(0, min(f.arity, g.arity))
+        pairs = list(zip(rng.sample(range(1, f.arity + 1), k),
+                         rng.sample(range(1, g.arity + 1), k)))
+        h = gadget_demo_hardness(f, g, pairs)
+        want = ref_gadget(f.arity, f.support, g.arity, g.support, pairs)
+        assert (h.arity, h.values) == want
+        weighted += any(v > 1 for v in h.values.values())
+    assert weighted
 
 
 def test_affine_solver_vs_brute_randomized(rng):

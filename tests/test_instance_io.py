@@ -62,9 +62,9 @@ def test_planted_texts_parse_as_the_reference(pool):
 # -- line mutations -------------------------------------------------------------
 
 BAD_TOKENS = ["x", "v1", "12", "v1.", "v1.a", "v1.-1", "v1.+2", "v1.1_0", ".2",
-              "v1.0", "v1.99", "1.2.3", "v 1.2"]
+              "v1.0", "v1.99", "1.2.3", "v 1.2", "v1.\u00b2"]
 ROWS = ["01", "10", "0110", "1a", "012", "-", "", "arity 2", "arity 0",
-        "arity x", "arity", "arity 2 3", "f3:", ":"]
+        "arity x", "arity \u00b2", "arity", "arity 2 3", "f3:", ":"]
 
 
 @pytest.mark.parametrize("token", BAD_TOKENS)

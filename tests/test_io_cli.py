@@ -253,6 +253,28 @@ def test_cli_bad_input_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, text, want", [
+    # a superscript digit passes str.isdigit but not int()
+    (["solve"],
+     "[signatures]\nn:\n01\n10\n\n[vertices]\na n\n\n[edges]\na.1 a.\u00b2\n",
+     "error: line 10: bad endpoint 'a.\u00b2'\n"),
+    (["classify"], "arity \u00b2\n",
+     "error: line 1: bad arity header 'arity \u00b2'\n"),
+], ids=["edge-slot", "arity-header"])
+def test_cli_refuses_non_ascii_digits(tmp_path, capsys, argv, text, want):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(argv + [str(path)]) == 2
+    assert capsys.readouterr().err == want
+
+
+def test_cli_missing_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.eo"
+    assert main(["solve", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {missing}: ")
+
+
 def test_cli_unknown_flag_errors(tmp_path):
     with pytest.raises(SystemExit):
         main(["solve", "x", "--frobnicate"])

@@ -26,13 +26,7 @@ from eocount import (
     tensor,
 )
 from eocount.errors import FormatError
-from eocount.signatures import (
-    WeightedSignature,
-    connect,
-    loop_diseq,
-    permute_columns,
-    wt,
-)
+from eocount.signatures import WeightedSignature, permute_columns, wt
 
 import helpers
 
@@ -131,24 +125,10 @@ def test_multiple_decompose_uneven_groups():
 
 
 def test_weighted_signature():
-    w = WeightedSignature.of(F2)
-    assert w[(1, 1, 0, 0)] == 1 and w[(0, 0, 1, 1)] == 0
-    assert w.to_signature() == F2
     with pytest.raises(ValueError):
         WeightedSignature(2, {(0, 1): -1})
     with pytest.raises(ValueError):
         WeightedSignature(2, {(2, 0): 1, (0, 7): 3})
-
-
-def test_loop_diseq_matches_manual_count():
-    # looping two slots of f2 with a disequality leaves the arity-2 residual
-    w = loop_diseq(F2, 1, 2)
-    assert w.to_signature() == Signature.from_strings(["10", "01"])
-
-
-def test_connect():
-    w = connect(DELTA1, 1, NEQ2, 1)
-    assert w.to_signature() == Signature.from_strings(["1"])
 
 
 def test_text_roundtrip():
