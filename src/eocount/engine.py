@@ -18,17 +18,21 @@ from .affine import _affine_basis, count_packed
 from .classes import in_d0, in_d1
 from .errors import InstanceError
 from .signatures import (
+    SCALAR_ONE,
     Signature,
     WeightedSignature,
     _compress,
+    _positions,
     is_eo,
     pin,
     pin2,
+    strip_columns,
     tensor,
 )
 from .hadamard import Polarity
 
 DEFAULT_BRUTE_CAP = 24
+_UNSEEN = object()  # the dict.get default where a stored value may be None
 
 
 class Method(enum.Enum):
@@ -74,19 +78,21 @@ class _Classes:
         self._tractable: dict = {}
 
     def reduction(self, sig: Signature):
-        if sig not in self._reduced:
-            self._reduced[sig] = _affine_basis(sig)
-        return self._reduced[sig]
+        red = self._reduced.get(sig, _UNSEEN)
+        if red is _UNSEEN:
+            red = self._reduced[sig] = _affine_basis(sig)
+        return red
 
     def affine(self, sig: Signature) -> bool:
         return self.reduction(sig) is not None
 
     def tractable(self, sig: Signature, t: int) -> bool:
         key = (sig, t)
-        if key not in self._tractable:
-            self._tractable[key] = self.affine(sig) or (
+        ok = self._tractable.get(key)
+        if ok is None:
+            ok = self._tractable[key] = self.affine(sig) or (
                 is_eo(sig) and (in_d1 if t == 1 else in_d0)(sig))
-        return self._tractable[key]
+        return ok
 
 
 @dataclass
@@ -131,7 +137,9 @@ def _compile(inst: Instance) -> _Wiring:
         owner += [i] * f.arity
         start.append(len(owner))
     mate = [-1] * len(owner)
-    for edge in inst.edges:
+    for e, edge in enumerate(inst.edges):
+        if len(edge) != 2:
+            errors.append(f"edge {e}: expected 2 endpoints, got {len(edge)}")
         ends = []
         for v, slot in edge:
             if v not in at:
@@ -323,12 +331,22 @@ def chain_reaction(
     is queued once at the start and again when a step pins it, the only
     event that can give it a forced slot.
 
-    The state is two lists over the vertices of the instance's record:
-    ``sig`` holds each vertex's current label and ``live`` its endpoints
-    not yet consumed, in variable order.  The record's ``mate`` gives the
-    other endpoint of a slot's edge, so consuming an edge is dropping its
-    two endpoints.  The residual is the live endpoints, counted by the same
-    affine core as ``solve_affine``.
+    The state is four lists over the vertices of the instance's record:
+    ``sig`` holds each vertex's current label, ``live`` the endpoints of its
+    columns in variable order, ``done`` a mask of the columns already
+    consumed, and ``const`` the label's two folds, its constant-(1 - t) and
+    constant-t columns.  Pinning a constant column loses no row, so only a
+    step that loses rows builds a new label: the firing slot, and a
+    neighbour slot already constant 1 - t, are only marked done, while any
+    other neighbour slot is pinned through ``pin``, leaves ``live`` and is
+    compacted out of ``done`` (a self-loop pins both its slots through
+    ``pin2``).  The folds are taken again only when a label changes, so
+    the next forced slot is the lowest set bit of the constant-t fold
+    outside ``done``.  Done columns stay constant; at the fixpoint they are
+    stripped from the vertices that still have a column left, a vertex with
+    none left reads as the scalar 1, and the residual is the endpoints
+    left, counted by the same affine core as ``solve_affine``.  The
+    record's ``mate`` gives the other endpoint of a slot's edge.
     """
     t = 1 if polarity is Polarity.ONE else 0
     w = _checked(inst)
@@ -349,58 +367,78 @@ def chain_reaction(
     def result(count):
         return CountResult(count, method, tuple(steps) if trace else None)
 
-    def forced(f):
-        # 1-based position of the first constant-t column, 0 if none
+    def fold(f):
+        # (the constant-(1 - t) columns, the constant-t columns)
         full = (1 << f.arity) - 1
-        col = reduce(and_, f.rows, full) if t else full & ~reduce(or_, f.rows)
-        return (col & -col).bit_length()
+        ones = reduce(and_, f.rows, full)
+        zeros = full & ~reduce(or_, f.rows, 0)
+        return (zeros, ones) if t else (ones, zeros)
 
     sig = list(w.labels)
     if any(f.is_zero() for f in sig):
         note("zero signature reached; count is 0")
         return result(0)
     live = [list(w.slots(v)) for v in range(len(sig))]
+    done = [0] * len(sig)
+    const = [fold(f) for f in sig]
     queue = deque(range(len(sig)))
 
     while queue:
         u = queue.popleft()
-        f = sig[u]
-        pos = forced(f)
-        if not pos:
+        cols = const[u][1] & ~done[u]
+        if not cols:
             continue  # nothing to fire until it is pinned again
-        p = live[u][pos - 1]
+        k = (cols & -cols).bit_length() - 1  # the first forced column
+        p = live[u][k]
         q = mate[p]
         v = owner[q]
-        j = live[v].index(q) + 1
+        j = live[v].index(q)
         if v == u:
-            sig[u] = pin2(f, pos, j, t, 1 - t)
+            sig[u] = pin2(sig[u], k + 1, j + 1, t, 1 - t)
+            keep = ((1 << len(live[u])) - 1) ^ (1 << k | 1 << j)
+            done[u] = _compress((done[u],), keep)[0]
+            del live[u][max(k, j)], live[u][min(k, j)]
+            const[u] = fold(sig[u])
             if trace:  # format the step only when it is kept
                 steps.append(f"self-loop at {ids[u]}: pinned slots "
                              f"{p - start[u] + 1},{q - start[u] + 1}")
         else:
-            sig[u] = pin(f, pos, t)
-            sig[v] = pin(sig[v], j, 1 - t)
+            done[u] |= 1 << k
+            if const[v][0] >> j & 1:
+                done[v] |= 1 << j
+            else:
+                sig[v] = pin(sig[v], j + 1, 1 - t)
+                d, low = done[v], (1 << j) - 1
+                done[v] = d & low | d >> 1 & ~low
+                del live[v][j]
+                const[v] = fold(sig[v])
             if trace:
                 steps.append(f"propagated {ids[u]}.{p - start[u] + 1} -> "
                              f"{ids[v]}.{q - start[v] + 1}")
-        del live[u][pos - 1]
-        live[v].remove(q)
-        if sig[u].is_zero() or sig[v].is_zero():
+        if sig[v].is_zero():
             note("zero signature reached; count is 0")
             return result(0)
         queue.append(u)
         if v != u:
-            g = sig[v]
-            if forced(g):
+            if const[v][1] & ~done[v]:
                 queue.append(v)
-            elif g.arity and not w.classes.affine(g):
+            elif (done[v] != (1 << len(live[v])) - 1
+                  and not w.classes.affine(sig[v])):
                 # Guarantee for the propagation step: the neighbour is
                 # annihilated, turns affine, or realizes a fresh forced slot.
+                # Done columns are constant, so they do not change the
+                # label's affinity.
                 raise InstanceError(
                     f"vertex {ids[v]}: propagation produced a non-affine "
                     "label with no forced slot"
                 )
 
+    for v, d in enumerate(done):
+        if d == (1 << len(live[v])) - 1:  # every column consumed
+            sig[v], live[v] = SCALAR_ONE, []
+        elif d:
+            sig[v] = strip_columns(sig[v], _positions(d))
+            live[v] = [p for k, p in enumerate(live[v]) if not d >> k & 1]
     count = _count_affine(w, sig, live, "label still non-affine at the "
                           "fixpoint; chain-reaction invariant broken")
     note(f"affine residual with {sum(map(len, live)) // 2} edges: count {count}")

@@ -3,11 +3,15 @@ references for the packed signature operations, and a reference parser of
 the instance text format."""
 
 import random
+from collections import deque
+from functools import reduce
+from operator import and_, or_
 
-from eocount import Instance, Signature, complement
+from eocount import CountResult, Instance, Method, Signature, complement, engine
 from eocount.affine import affine_system, count_packed, gf2_eliminate
 from eocount.errors import FormatError, InstanceError, NotAffineError
-from eocount.signatures import bits_str, column_masks, is_eo
+from eocount.hadamard import Polarity
+from eocount.signatures import bits_str, column_masks, is_eo, pin, pin2
 
 
 def gauss_jordan(rows, ncols: int) -> list:
@@ -42,8 +46,10 @@ def ref_validate(inst: Instance) -> tuple:
         else:
             labels[v] = inst.signatures[name]
     wired = dict.fromkeys(labels, 0)  # vertex -> its wired slots, bit s - 1
-    for a, b in inst.edges:
-        for v, slot in (a, b):
+    for e, edge in enumerate(inst.edges):
+        if len(edge) != 2:
+            errors.append(f"edge {e}: expected 2 endpoints, got {len(edge)}")
+        for v, slot in edge:
             if v not in labels:
                 errors.append(f"edge endpoint {v}.{slot}: unknown vertex")
             elif not 1 <= slot <= labels[v].arity:
@@ -121,6 +127,79 @@ def ref_solve_affine(inst: Instance) -> int:
                     const ^= side  # second endpoint holds the complement
             rows.append(packed | (const << ne))
     return count_packed(rows, ne)
+
+
+def ref_chain_reaction(inst: Instance, polarity: Polarity = Polarity.ONE,
+                       trace: bool = False) -> CountResult:
+    """The chain reaction as it ran before steps that lose no row stopped
+    building labels: every step pins the firing slot and its neighbour, and
+    ``live`` drops both endpoints.  A reference for ``chain_reaction``."""
+    t = 1 if polarity is Polarity.ONE else 0
+    w = engine._checked(inst)
+    ids, start, mate, owner = w.ids, w.start, w.mate, w.owner
+    for v, f in enumerate(w.labels):
+        if not w.classes.tractable(f, t):
+            raise InstanceError(
+                f"vertex {ids[v]}: label outside the polarity-{polarity.value} "
+                "tractable class"
+            )
+    method = Method.CHAIN_D1 if t == 1 else Method.CHAIN_D0
+    steps: list = []
+
+    def result(count):
+        return CountResult(count, method, tuple(steps) if trace else None)
+
+    def forced(f):
+        # 1-based position of the first constant-t column, 0 if none
+        full = (1 << f.arity) - 1
+        col = reduce(and_, f.rows, full) if t else full & ~reduce(or_, f.rows)
+        return (col & -col).bit_length()
+
+    sig = list(w.labels)
+    if any(f.is_zero() for f in sig):
+        steps.append("zero signature reached; count is 0")
+        return result(0)
+    live = [list(w.slots(v)) for v in range(len(sig))]
+    queue = deque(range(len(sig)))
+    while queue:
+        u = queue.popleft()
+        f = sig[u]
+        pos = forced(f)
+        if not pos:
+            continue
+        p = live[u][pos - 1]
+        q = mate[p]
+        v = owner[q]
+        j = live[v].index(q) + 1
+        if v == u:
+            sig[u] = pin2(f, pos, j, t, 1 - t)
+            steps.append(f"self-loop at {ids[u]}: pinned slots "
+                         f"{p - start[u] + 1},{q - start[u] + 1}")
+        else:
+            sig[u] = pin(f, pos, t)
+            sig[v] = pin(sig[v], j, 1 - t)
+            steps.append(f"propagated {ids[u]}.{p - start[u] + 1} -> "
+                         f"{ids[v]}.{q - start[v] + 1}")
+        del live[u][pos - 1]
+        live[v].remove(q)
+        if sig[u].is_zero() or sig[v].is_zero():
+            steps.append("zero signature reached; count is 0")
+            return result(0)
+        queue.append(u)
+        if v != u:
+            g = sig[v]
+            if forced(g):
+                queue.append(v)
+            elif g.arity and not w.classes.affine(g):
+                raise InstanceError(
+                    f"vertex {ids[v]}: propagation produced a non-affine "
+                    "label with no forced slot"
+                )
+    count = engine._count_affine(w, sig, live, "label still non-affine at "
+                                 "the fixpoint; chain-reaction invariant broken")
+    steps.append(f"affine residual with {sum(map(len, live)) // 2} edges: "
+                 f"count {count}")
+    return result(count)
 
 
 def ref_canonical(f: Signature) -> Signature:

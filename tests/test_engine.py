@@ -35,6 +35,7 @@ from helpers import (
     random_affine_eo,
     random_instance,
     ref_brute_force,
+    ref_chain_reaction,
     ref_gadget,
     ref_solve_affine,
     ref_validate,
@@ -310,6 +311,73 @@ def test_chain_vs_brute_planted_both_polarities():
         assert want >= 1
         assert chain_reaction(inst, Polarity.ONE).count == want
         assert chain_reaction(complemented(inst), Polarity.ZERO).count == want
+
+
+def chain_vs_reference(inst) -> list:
+    """``chain_reaction`` on the instance in polarity 1 and on its complement
+    in polarity 0, each with the same count and the same steps as the loop
+    that pinned both ends of every step."""
+    out = []
+    for case, pol in ((inst, Polarity.ONE), (complemented(inst), Polarity.ZERO)):
+        res = chain_reaction(case, pol, trace=True)
+        ref = ref_chain_reaction(case, pol, trace=True)
+        assert (res.count, res.steps) == (ref.count, ref.steps)
+        out.append(res)
+    return out
+
+
+def test_chain_matches_reference_on_random_instances(rng):
+    seen = Counter()
+    while min(seen["self-loop"], seen["zero"], seen["trials"]) < 40:
+        inst = random_instance(rng, CHAIN_POOL, rng.randint(1, 5), 12)
+        if inst is None or validate(inst)[0]:
+            continue
+        seen["trials"] += 1
+        for res in chain_vs_reference(inst):
+            seen["self-loop"] += any(s.startswith("self-loop") for s in res.steps)
+            seen["zero"] += res.count == 0
+
+
+def test_chain_matches_reference_on_large_planted_instances():
+    for seed in (7, 8):
+        inst = planted_instance(random.Random(seed), CHAIN_POOL, 800)
+        assert len(inst.vertices) >= 300
+        assert all(res.count >= 1 for res in chain_vs_reference(inst))
+
+
+def test_chain_pins_only_on_steps_that_lose_rows(monkeypatch):
+    # a step that loses no row marks its slots consumed and builds no label
+    calls = 0
+    real = engine.pin
+
+    def counted(f, i, b):
+        nonlocal calls
+        calls += 1
+        g = real(f, i, b)
+        assert len(g.rows) < len(f.rows)
+        return g
+
+    monkeypatch.setattr(engine, "pin", counted)
+    inst = planted_instance(random.Random(7), CHAIN_POOL, 800)
+    res = chain_reaction(inst, Polarity.ONE, trace=True)
+    steps = sum(s.startswith(("propagated", "self-loop")) for s in res.steps)
+    assert res.count >= 1
+    assert 0 < calls < steps
+
+
+def test_edges_need_two_endpoints():
+    inst = Instance({"n": NEQ2}, (("a", "n"),), ((("a", 1),), (("a", 2),)))
+    errors = ["edge 0: expected 2 endpoints, got 1",
+              "edge 1: expected 2 endpoints, got 1"]
+    assert validate(inst) == (errors, []) == ref_validate(inst)
+    for method in ("auto", "affine", "chain", "brute"):
+        with pytest.raises(InstanceError, match="edge 0: expected 2 endpoints"):
+            solve(inst, method=method)
+    inst = Instance({"n": NEQ2}, (("a", "n"), ("b", "n")),
+                    ((("a", 1), ("b", 1), ("a", 2)), (("b", 2),)))
+    assert validate(inst)[0] == ["edge 0: expected 2 endpoints, got 3",
+                                 "edge 1: expected 2 endpoints, got 1"]
+    assert validate(inst) == ref_validate(inst)
 
 
 def test_chain_is_affine_calls_stay_linear(monkeypatch):
