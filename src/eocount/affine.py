@@ -85,7 +85,11 @@ def _affine_basis(f: Signature):
     """(base, basis) with the support equal to base + span(basis), the basis
     independent; (None, ()) for the empty support; None when the support is
     not an affine subspace."""
-    rows = f.rows
+    return _affine_rows(f.rows)
+
+
+def _affine_rows(rows):
+    """``_affine_basis`` of any sized collection of distinct packed rows."""
     s = len(rows)
     if s == 0:
         return None, ()

@@ -8,11 +8,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .affine import is_affine
+from .affine import _affine_rows, is_affine
 from .errors import BudgetExceeded, StructureViolation
 from .hadamard import Polarity
 from .signatures import (
     Signature,
+    _folds,
+    _positions,
     column_masks,
     complement,
     delta_factors,
@@ -20,13 +22,14 @@ from .signatures import (
     is_eo,
     multiple_decompose,
     pin,
+    pin2,
     strip_columns,
 )
 
 # New _d1_memo entries that one top-level in_d1/in_d0 call may add: the
-# recursion does one pin-and-scan per entry, so this bounds its work whatever
-# the arity (a kernel of arity 192 adds 2 entries, a tensor of five basic
-# kernels of arity 4 about 100).
+# recursion scans one label's columns per entry, so this bounds its work
+# whatever the arity (a kernel of arity 192 adds 2 entries, a tensor of five
+# basic kernels of arity 4 about 100).
 MEMO_BUDGET = 1 << 13
 # Size at which a top-level call clears _d1_memo before it starts, so the
 # table never holds more than MEMO_CAP + MEMO_BUDGET entries.
@@ -71,7 +74,19 @@ def in_d1(f: Signature) -> bool:
     """Delta1-affine membership: a delta1 factor whose residual pins-to-0 all
     land back in affine-or-delta1, recursively."""
     _require_eo(f)
-    return _in_d1_rec(f, _memo_limit())
+    return _in_class(f, 1)
+
+
+def in_d0(f: Signature) -> bool:
+    """Dual of in_d1 with the roles of 0 and 1 swapped."""
+    _require_eo(f)
+    return _in_class(f, 0)
+
+
+def _in_class(f: Signature, t: int) -> bool:
+    """Delta_t-affine membership of an EO signature, as one top-level call
+    with its own memo budget."""
+    return _in_class_rec(f, t, _memo_limit())
 
 
 def _memo_limit() -> int:
@@ -82,34 +97,43 @@ def _memo_limit() -> int:
     return len(_d1_memo) + MEMO_BUDGET
 
 
-def _in_d1_rec(f: Signature, limit: int) -> bool:
-    hit = _d1_memo.get(f)
+def _pin_affine(rows, i: int, b: int) -> bool:
+    """Whether pinning column i (1-based) to b leaves an affine support.
+    The rows with bit b at i are that support with the constant column i
+    kept, and a column constant on a set of rows does not change whether
+    the set is affine, so no pinned signature is built."""
+    bit = 1 << (i - 1)
+    want = b * bit
+    return _affine_rows([r for r in rows if r & bit == want]) is not None
+
+
+def _in_class_rec(f: Signature, t: int, limit: int) -> bool:
+    """f is delta_t-affine when it has a constant-t column c and, for every
+    other column i, pinning i to 1 - t is affine or pin2(f, c, i, t, 1 - t)
+    is again delta_t-affine.  The affine test runs on f's own rows, so a pin
+    is built only where the recursion goes on; _d1_memo holds one entry per
+    (label, t) it reaches."""
+    key = (f, t)
+    hit = _d1_memo.get(key)
     if hit is not None:
         return hit
     if len(_d1_memo) >= limit:
         raise BudgetExceeded(
             f"in_d1 budget of {MEMO_BUDGET} new memo entries exceeded"
         )
-    if not f.rows:
+    rows = f.rows
+    own = _folds(f)[t] if rows else 0
+    if not own:
         result = False
     else:
-        ones, _ = delta_factors(f)
-        if not ones:
-            result = False
-        else:
-            g = pin(f, ones[0], 1)
-            result = all(
-                is_affine(p) or _in_d1_rec(p, limit)
-                for p in (pin(g, i, 0) for i in range(1, g.arity + 1))
-            )
-    _d1_memo[f] = result
+        c = own & -own
+        result = all(
+            _pin_affine(rows, i, 1 - t)
+            or _in_class_rec(pin2(f, c.bit_length(), i, t, 1 - t), t, limit)
+            for i in _positions(((1 << f.arity) - 1) ^ c)
+        )
+    _d1_memo[key] = result
     return result
-
-
-def in_d0(f: Signature) -> bool:
-    """Dual of in_d1 with the roles of 0 and 1 swapped."""
-    _require_eo(f)
-    return _in_d1_rec(complement(f), _memo_limit())
 
 
 def is_d1_kernel(f: Signature) -> bool:
@@ -117,20 +141,31 @@ def is_d1_kernel(f: Signature) -> bool:
     the residual must be non-affine with a delta0-free support whose every
     pin-to-0 is affine."""
     _require_eo(f)
-    if not f.rows:
-        return False
-    ones, zeros = delta_factors(f)
-    if not ones or zeros:
-        return False
-    h = strip_columns(f, ones)
-    if h.arity == 0 or is_affine(h):
-        return False
-    return all(is_affine(pin(h, i, 0)) for i in range(1, h.arity + 1))
+    return _kernel_polarity(f) == 1
 
 
 def is_d0_kernel(f: Signature) -> bool:
     _require_eo(f)
-    return is_d1_kernel(complement(f))
+    return _kernel_polarity(f) == 0
+
+
+def _kernel_polarity(f: Signature) -> int | None:
+    """The t for which f is a delta_t kernel, or None: f has constant-t
+    columns and no constant-(1 - t) ones, and the residual h left when they
+    are stripped is not affine while every pin of h to 1 - t is.  Stripped
+    columns are constant, so h is affine exactly when f is, and h's pins
+    are f's rows with bit 1 - t at one of the other columns."""
+    rows = f.rows
+    if not rows:
+        return None
+    zeros, ones = _folds(f)
+    if bool(zeros) == bool(ones) or _affine_rows(rows) is not None:
+        return None
+    t = 1 if ones else 0
+    others = ((1 << f.arity) - 1) ^ zeros ^ ones
+    if all(_pin_affine(rows, i, 1 - t) for i in _positions(others)):
+        return t
+    return None
 
 
 def direct_d1_kernel(f: Signature) -> bool:
@@ -181,13 +216,11 @@ def is_balanced_hadamard(f: Signature, polarity: Polarity = Polarity.ONE):
 def kernel_structure(f: Signature) -> KernelStructure:
     """Structural decomposition of a kernel per the characterization:
     trivial (support 3) or an m-multiple of a balanced Hadamard code."""
-    if is_d1_kernel(f):
-        polarity = Polarity.ONE
-    elif is_d0_kernel(f):
-        polarity = Polarity.ZERO
-    else:
+    _require_eo(f)
+    t = _kernel_polarity(f)
+    if t is None:
         raise ValueError("not a kernel")
-    return _structure(f, polarity)
+    return _structure(f, Polarity.ONE if t else Polarity.ZERO)
 
 
 def _structure(f: Signature, polarity: Polarity) -> KernelStructure:
@@ -222,10 +255,10 @@ def classify(f: Signature) -> ClassReport:
     if not is_eo(f):
         return ClassReport(False, False, False, False, False, False)
     aff = is_affine(f)
-    d1 = in_d1(f)
-    d0 = in_d0(f)
-    k1 = is_d1_kernel(f)
-    k0 = is_d0_kernel(f)
-    polarity = Polarity.ONE if k1 else Polarity.ZERO
-    info = _structure(f, polarity) if (k1 or k0) else None
-    return ClassReport(True, aff, d1, d0, k1, k0, info)
+    d1 = _in_class(f, 1)
+    d0 = _in_class(f, 0)
+    t = _kernel_polarity(f)
+    info = None
+    if t is not None:
+        info = _structure(f, Polarity.ONE if t else Polarity.ZERO)
+    return ClassReport(True, aff, d1, d0, t == 1, t == 0, info)

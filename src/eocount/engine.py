@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import enum
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
 
 from .affine import _affine_basis, count_packed
-from .classes import in_d0, in_d1
+from .classes import _in_class
 from .errors import InstanceError
 from .signatures import (
     SCALAR_ONE,
@@ -71,9 +71,11 @@ class _Classes:
     """Class membership of the distinct labels of one instance, each
     computed at most once: the affine reduction ``(base, basis)`` (None when
     not affine), and per polarity t whether the label is affine or an EO
-    signature in the delta_t-affine class."""
+    signature in the delta_t-affine class.  ``eo`` maps every label to
+    whether it is EO, as ``_compile`` found."""
 
-    def __init__(self):
+    def __init__(self, eo: dict):
+        self._eo = eo
         self._reduced: dict = {}
         self._tractable: dict = {}
 
@@ -91,7 +93,7 @@ class _Classes:
         ok = self._tractable.get(key)
         if ok is None:
             ok = self._tractable[key] = self.affine(sig) or (
-                is_eo(sig) and (in_d1 if t == 1 else in_d0)(sig))
+                self._eo[sig] and _in_class(sig, t))
         return ok
 
 
@@ -112,7 +114,7 @@ class _Wiring:
     owner: list
     errors: list
     warnings: list
-    classes: _Classes = field(default_factory=_Classes)
+    classes: _Classes
 
     def slots(self, v: int) -> range:
         return range(self.start[v], self.start[v + 1])
@@ -170,7 +172,7 @@ def _compile(inst: Instance) -> _Wiring:
             ok = eo[sig] = is_eo(sig)
         if not ok:
             warnings.append(f"vertex {v}: label is not an EO signature")
-    return _Wiring(ids, sigs, start, mate, owner, errors, warnings)
+    return _Wiring(ids, sigs, start, mate, owner, errors, warnings, _Classes(eo))
 
 
 def _checked(inst: Instance) -> _Wiring:

@@ -51,9 +51,10 @@ class Signature:
     """A 0-1 constraint function given by its arity and support set.
 
     ``rows`` holds the support rows packed into ints, bit i for variable
-    i+1; equality and hashing use arity and rows.  The constructor takes the
-    support as 0/1 sequences of length ``arity``.  Arity 0 is legal: support
-    {()} is the scalar 1, empty support the scalar 0.
+    i+1; equality uses arity and rows, hashing the rows alone.  The
+    constructor takes the support as 0/1 sequences of length ``arity``.
+    Arity 0 is legal: support {()} is the scalar 1, empty support the
+    scalar 0.
     """
 
     arity: int
@@ -99,6 +100,10 @@ class Signature:
             if len(r) != arity:
                 raise ValueError(f"row {r} has length {len(r)}, expected {arity}")
         return cls._packed(arity, packed)
+
+    def __hash__(self) -> int:
+        # the frozenset keeps its own hash; equal signatures have equal rows
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         rows = sorted(s[::-1] for s in _strings(self))
@@ -286,9 +291,14 @@ def delta_factors(f: Signature) -> tuple:
     """
     if not f.rows:
         raise ValueError("delta_factors requires a nonempty support")
-    ones = reduce(and_, f.rows)
-    zeros = ((1 << f.arity) - 1) ^ reduce(or_, f.rows)
+    zeros, ones = _folds(f)
     return _positions(ones), _positions(zeros)
+
+
+def _folds(f: Signature) -> tuple:
+    """The constant-0 and the constant-1 columns of a nonempty support, as
+    masks, so that index t holds the constant-t columns."""
+    return ((1 << f.arity) - 1) ^ reduce(or_, f.rows), reduce(and_, f.rows)
 
 
 def strip_columns(f: Signature, drop: Iterable[int]) -> Signature:

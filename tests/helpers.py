@@ -8,7 +8,7 @@ from functools import reduce
 from operator import and_, or_
 
 from eocount import CountResult, Instance, Method, Signature, complement, engine
-from eocount.affine import affine_system, count_packed, gf2_eliminate
+from eocount.affine import affine_system, count_packed, gf2_eliminate, is_affine
 from eocount.errors import FormatError, InstanceError, NotAffineError
 from eocount.hadamard import Polarity
 from eocount.signatures import bits_str, column_masks, is_eo, pin, pin2
@@ -400,6 +400,22 @@ def permute_columns(f: Signature, perm) -> Signature:
     return Signature(
         f.arity, frozenset(tuple(r[p] for p in perm) for r in f.support)
     )
+
+
+def ref_in_class(f: Signature, t: int) -> bool:
+    """Delta_t-affine membership as the definition reads, with no memo: f
+    has a constant-t column; after the first is pinned to t, pinning any
+    other column to 1 - t gives an affine signature or, recursively, one in
+    the class."""
+    if not f.rows:
+        return False
+    own = [i for i in range(1, f.arity + 1)
+           if all((r >> (i - 1) & 1) == t for r in f.rows)]
+    if not own:
+        return False
+    g = pin(f, own[0], t)
+    return all(is_affine(p) or ref_in_class(p, t)
+               for p in (pin(g, i, 1 - t) for i in range(1, g.arity + 1)))
 
 
 # -- bit-vector references ----------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eocount import (
     NEQ2,
@@ -19,7 +21,7 @@ from eocount import (
 from eocount import canonical, canonical_form, classes
 from eocount.classes import KernelKind, direct_d1_kernel
 from eocount.errors import BudgetExceeded, SizeCapExceeded, StructureViolation
-from eocount.hadamard import Polarity, balanced_code, basic_kernel, butterfly
+from eocount.hadamard import Polarity, balanced_code, basic_kernel, butterfly, wings
 from eocount.signatures import (
     DELTA0,
     DELTA1,
@@ -28,7 +30,7 @@ from eocount.signatures import (
     strip_columns,
 )
 
-from helpers import permute_columns
+from helpers import permute_columns, ref_in_class
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 G2 = Signature.from_strings(["0011", "0101", "0110"])
@@ -212,12 +214,13 @@ def test_classify_report():
 
 def test_classify_runs_the_kernel_test_once(monkeypatch):
     calls = []
+    real = classes._kernel_polarity
 
-    def counted(f, cols):
-        calls.append(cols)
-        return strip_columns(f, cols)
+    def counted(f):
+        calls.append(f)
+        return real(f)
 
-    monkeypatch.setattr(classes, "strip_columns", counted)
+    monkeypatch.setattr(classes, "_kernel_polarity", counted)
     for f in (
         basic_kernel(4),
         complement(basic_kernel(4)),
@@ -226,3 +229,53 @@ def test_classify_runs_the_kernel_test_once(monkeypatch):
         calls.clear()
         assert classify(f).kernel_info is not None
         assert len(calls) == 1
+
+
+def _weight_rows(n: int, weight: int, max_size: int):
+    """Sets of rows of arity n, each of the given weight."""
+    vectors = [v for v in range(1 << n) if v.bit_count() == weight]
+    return st.sets(st.sampled_from(vectors), max_size=max_size).map(
+        lambda rows: Signature(n, frozenset(
+            tuple(r >> c & 1 for c in range(n)) for r in rows)))
+
+
+@st.composite
+def class_inputs(draw):
+    """An EO signature with its columns permuted: a random EO support of
+    arity <= 8, an m-multiple kernel (k <= 5, m <= 3), a wing, a balanced
+    code of either polarity, a tensor with DELTA1 or DELTA0, or a tensor of
+    two small EO signatures."""
+    kind = draw(st.sampled_from(["support", "kernel", "wing", "balanced",
+                                 "tensor", "pair"]))
+    if kind == "support":
+        half = draw(st.integers(0, 4))
+        f = draw(_weight_rows(2 * half, half, 12))
+    elif kind == "kernel":
+        f = m_multiple(basic_kernel(draw(st.integers(1, 5))), draw(st.integers(1, 3)))
+    elif kind == "wing":
+        f = wings(draw(st.integers(1, 5)))[draw(st.integers(0, 1))]
+    elif kind == "balanced":
+        f = balanced_code(draw(st.integers(1, 5)), draw(st.sampled_from(Polarity)))
+    elif kind == "tensor":
+        # rows of weight half - 1 (or half) beside a constant 1 (or 0)
+        half, t = draw(st.integers(1, 4)), draw(st.integers(0, 1))
+        g = draw(_weight_rows(2 * half - 1, half - t, 8))
+        f = tensor(g, DELTA1 if t else DELTA0)
+    else:
+        pool = st.sampled_from([F2, G2, NEQ2, basic_kernel(2), butterfly(1),
+                                tensor(DELTA1, DELTA0)])
+        f = tensor(draw(pool), draw(pool))
+    return permute_columns(f, draw(st.permutations(range(f.arity))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_inputs())
+def test_classes_match_the_definitions(f):
+    classes._d1_memo.clear()  # every example runs the recursion from scratch
+    d1, d0 = ref_in_class(f, 1), ref_in_class(f, 0)
+    k1, k0 = direct_d1_kernel(f), direct_d1_kernel(complement(f))
+    assert (in_d1(f), in_d0(f)) == (d1, d0)
+    assert (is_d1_kernel(f), is_d0_kernel(f)) == (k1, k0)
+    rep = classify(f)
+    assert (rep.in_d1, rep.in_d0, rep.is_d1_kernel, rep.is_d0_kernel) == (d1, d0, k1, k0)
+    assert (rep.kernel_info is not None) == (k1 or k0)

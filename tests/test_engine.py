@@ -432,6 +432,25 @@ def test_affine_solve_classifies_each_label_once(monkeypatch):
     assert max(calls.values()) == 1
 
 
+def test_solve_tests_each_label_for_eo_once(monkeypatch):
+    # the compiling pass makes the EO test; classification reads its verdict
+    calls = Counter()
+    real = engine.is_eo
+
+    def counted(sig):
+        calls[sig] += 1
+        return real(sig)
+
+    monkeypatch.setattr(engine, "is_eo", counted)
+    monkeypatch.setattr(classes, "is_eo", counted)
+    chain = planted_instance(random.Random(6), CHAIN_POOL, 60)
+    for inst, method in ((chain, Method.CHAIN_D1),
+                         (complemented(chain), Method.CHAIN_D0)):
+        calls.clear()
+        assert solve(inst).method is method
+        assert calls == Counter(set(inst.labels().values()))
+
+
 def test_solvers_and_classifiers_never_build_the_tuple_view(monkeypatch):
     rng = random.Random(12)
     chain = planted_instance(rng, CHAIN_POOL, 40)
