@@ -12,14 +12,21 @@ from dataclasses import dataclass
 from .errors import NotAffineError, PairingError
 from .signatures import Signature, column_masks, is_eo
 
+# Row count from which _affine_rows tests a set by coset membership instead
+# of reducing every row.  Timed on the pin sets of column-permuted basic
+# kernels, the coset test takes 1.5x the time of the full reduction at 4
+# rows (arity 8) and 1.3x at 8 (arity 16), but 0.95x at 16 (arity 32),
+# 0.68x at 32 (arity 64) and 0.49x at 32 rows of arity 192.
+COSET_MIN_ROWS = 16
 
-def _pivots(rows) -> dict:
+
+def _pivots(rows, rank: int = -1) -> dict:
     """Echelon basis of the span of packed rows: a dict from the position of
     each basis row's lowest set bit (``bit_length``, so bit i has key i+1) to
     the row.  An incoming row is reduced by the row that owns its lowest bit
     until that bit is new (or the row vanishes), so the dict's size is the
     rank.  Keys are small ints, so a lookup costs the same however wide the
-    rows are."""
+    rows are.  Reading stops as soon as the dict holds ``rank`` rows."""
     pivots: dict = {}
     for r in rows:
         while r:
@@ -27,6 +34,8 @@ def _pivots(rows) -> dict:
             p = pivots.get(low)
             if p is None:
                 pivots[low] = r
+                if len(pivots) == rank:
+                    return pivots
                 break
             r ^= p
     return pivots
@@ -89,15 +98,30 @@ def _affine_basis(f: Signature):
 
 
 def _affine_rows(rows):
-    """``_affine_basis`` of any sized collection of distinct packed rows."""
+    """``_affine_basis`` of any sized collection of distinct packed rows.
+
+    s = 2^d distinct rows span a space of rank at least d around any one of
+    them, so they are affine exactly when the first d independent
+    differences span a coset that holds them all.  From COSET_MIN_ROWS rows
+    up, rows are reduced only until those d pivots are found, and the 2^d
+    points of the coset are looked up in the rows as a set; below it, every
+    row is reduced, which is faster on so few."""
     s = len(rows)
     if s == 0:
         return None, ()
     if s & (s - 1):
         return None
     base = next(iter(rows))
-    basis = tuple(_pivots(r ^ base for r in rows).values())
-    return (base, basis) if s == 1 << len(basis) else None
+    if s < COSET_MIN_ROWS:
+        basis = tuple(_pivots(r ^ base for r in rows).values())
+        return (base, basis) if s == 1 << len(basis) else None
+    basis = tuple(_pivots((r ^ base for r in rows), s.bit_length() - 1).values())
+    points = [base]
+    for b in basis:
+        points += [p ^ b for p in points]
+    if not isinstance(rows, (set, frozenset)):
+        rows = set(rows)
+    return (base, basis) if rows.issuperset(points) else None
 
 
 def is_affine(f: Signature) -> bool:

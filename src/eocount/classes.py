@@ -15,10 +15,7 @@ from .signatures import (
     Signature,
     _folds,
     _positions,
-    column_masks,
-    complement,
     delta_factors,
-    hat,
     is_eo,
     multiple_decompose,
     pin,
@@ -104,7 +101,7 @@ def _pin_affine(rows, i: int, b: int) -> bool:
     the set is affine, so no pinned signature is built."""
     bit = 1 << (i - 1)
     want = b * bit
-    return _affine_rows([r for r in rows if r & bit == want]) is not None
+    return _affine_rows({r for r in rows if r & bit == want}) is not None
 
 
 def _in_class_rec(f: Signature, t: int, limit: int) -> bool:
@@ -141,31 +138,32 @@ def is_d1_kernel(f: Signature) -> bool:
     the residual must be non-affine with a delta0-free support whose every
     pin-to-0 is affine."""
     _require_eo(f)
-    return _kernel_polarity(f) == 1
+    return _kernel_polarity(f)[0] == 1
 
 
 def is_d0_kernel(f: Signature) -> bool:
     _require_eo(f)
-    return _kernel_polarity(f) == 0
+    return _kernel_polarity(f)[0] == 0
 
 
-def _kernel_polarity(f: Signature) -> int | None:
-    """The t for which f is a delta_t kernel, or None: f has constant-t
-    columns and no constant-(1 - t) ones, and the residual h left when they
-    are stripped is not affine while every pin of h to 1 - t is.  Stripped
-    columns are constant, so h is affine exactly when f is, and h's pins
-    are f's rows with bit 1 - t at one of the other columns."""
+def _kernel_polarity(f: Signature) -> tuple:
+    """(t, own) for a delta_t kernel f, own the mask of its constant-t
+    columns; (None, 0) when f is no kernel.  f is a delta_t kernel when it
+    has constant-t columns and no constant-(1 - t) ones, and the residual h
+    left when they are stripped is not affine while every pin of h to 1 - t
+    is.  Stripped columns are constant, so h is affine exactly when f is,
+    and h's pins are f's rows with bit 1 - t at one of the other columns."""
     rows = f.rows
     if not rows:
-        return None
+        return None, 0
     zeros, ones = _folds(f)
     if bool(zeros) == bool(ones) or _affine_rows(rows) is not None:
-        return None
+        return None, 0
     t = 1 if ones else 0
     others = ((1 << f.arity) - 1) ^ zeros ^ ones
     if all(_pin_affine(rows, i, 1 - t) for i in _positions(others)):
-        return t
-    return None
+        return t, ones if t else zeros
+    return None, 0
 
 
 def direct_d1_kernel(f: Signature) -> bool:
@@ -191,48 +189,49 @@ def is_balanced_hadamard(f: Signature, polarity: Polarity = Polarity.ONE):
     Route for ONE: restore the all-1 word (hat), complement, and demand the
     result be a linear code whose 2^k columns are pairwise distinct -- that
     pins it to the code whose columns exhaust all linear functionals, i.e.
-    the 0-Hadamard code.
+    the 0-Hadamard code.  For ZERO, the same of complement(f).
+
+    The test runs on f's own rows: that code (of complement(f) for ZERO)
+    is f's rows with the all-t word added, t = 1 for ONE and 0 for ZERO,
+    translated by that word.  Rows of weight n/2 hold neither the all-0 nor
+    the all-1 word, so the code holds the zero word and is linear exactly
+    when those n rows are affine.  Its columns then need no test of their
+    own: the number N(l) of columns equal to the linear functional l has a
+    Walsh transform of n at 0 and, since every nonzero word has weight n/2,
+    of 0 elsewhere, so N is 1 everywhere and the 2^k columns are the 2^k
+    functionals, all distinct.
     """
-    if polarity is Polarity.ZERO:
-        return is_balanced_hadamard(complement(f), Polarity.ONE)
     n = f.arity
-    if n < 2 or n & (n - 1):
-        return None
-    k = n.bit_length() - 1
-    if len(f.rows) != n - 1:
+    if n < 2 or n & (n - 1) or len(f.rows) != n - 1:
         return None
     if any(r.bit_count() != n // 2 for r in f.rows):
         return None
-    c = complement(hat(f))
-    if 0 not in c.rows:
+    word = 0 if polarity is Polarity.ZERO else (1 << n) - 1
+    if _affine_rows(f.rows | {word}) is None:
         return None
-    if not is_affine(c):
-        return None
-    if len(set(column_masks(c))) != n:
-        return None
-    return k
+    return n.bit_length() - 1
 
 
 def kernel_structure(f: Signature) -> KernelStructure:
     """Structural decomposition of a kernel per the characterization:
     trivial (support 3) or an m-multiple of a balanced Hadamard code."""
     _require_eo(f)
-    t = _kernel_polarity(f)
+    t, own = _kernel_polarity(f)
     if t is None:
         raise ValueError("not a kernel")
-    return _structure(f, Polarity.ONE if t else Polarity.ZERO)
+    return _structure(f, t, own)
 
 
-def _structure(f: Signature, polarity: Polarity) -> KernelStructure:
-    """kernel_structure for a kernel whose polarity is already known."""
-    ones, zeros = delta_factors(f)
-    own = ones if polarity is Polarity.ONE else zeros
+def _structure(f: Signature, t: int, own: int) -> KernelStructure:
+    """kernel_structure for a delta_t kernel whose constant-t columns, the
+    mask own, the kernel test already found."""
+    polarity = Polarity.ONE if t else Polarity.ZERO
     if len(f.rows) == 3:
         return KernelStructure(
             polarity,
             KernelKind.TRIVIAL,
             None,
-            len(own),
+            own.bit_count(),
             f,
             tuple((i,) for i in range(1, f.arity + 1)),
         )
@@ -257,8 +256,6 @@ def classify(f: Signature) -> ClassReport:
     aff = is_affine(f)
     d1 = _in_class(f, 1)
     d0 = _in_class(f, 0)
-    t = _kernel_polarity(f)
-    info = None
-    if t is not None:
-        info = _structure(f, Polarity.ONE if t else Polarity.ZERO)
+    t, own = _kernel_polarity(f)
+    info = None if t is None else _structure(f, t, own)
     return ClassReport(True, aff, d1, d0, t == 1, t == 0, info)

@@ -29,11 +29,6 @@ _UNDIGITS = bytes.maketrans(b"01", b"\x00\x01")
 MAX_ENUMERATED_SUPPORTS = 1 << 20
 
 
-def wt(bits: BitVector) -> int:
-    """Hamming weight."""
-    return sum(bits)
-
-
 def bits_str(bits: BitVector) -> str:
     return "".join(str(b) for b in bits)
 
@@ -120,14 +115,6 @@ class Signature:
             )
             _set_support(self, view)
         return view
-
-    def rows_sorted(self) -> list:
-        return sorted(self.support)
-
-    def column(self, i: int) -> BitVector:
-        """Column i (1-based) read down the sorted support rows."""
-        self._check_index(i)
-        return tuple(r[i - 1] for r in self.rows_sorted())
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.arity:

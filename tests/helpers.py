@@ -8,10 +8,10 @@ from functools import reduce
 from operator import and_, or_
 
 from eocount import CountResult, Instance, Method, Signature, complement, engine
-from eocount.affine import affine_system, count_packed, gf2_eliminate, is_affine
+from eocount.affine import affine_system, count_packed, gf2_eliminate
 from eocount.errors import FormatError, InstanceError, NotAffineError
 from eocount.hadamard import Polarity
-from eocount.signatures import bits_str, column_masks, is_eo, pin, pin2
+from eocount.signatures import bits_str, column_masks, hat, is_eo, pin, pin2
 
 
 def gauss_jordan(rows, ncols: int) -> list:
@@ -402,6 +402,20 @@ def permute_columns(f: Signature, perm) -> Signature:
     )
 
 
+def ref_is_affine(rows, width: int) -> bool:
+    """Whether distinct packed rows of ``width`` bits form an affine
+    subspace, the empty set included: their number is a power of two, 2^d,
+    and the rows translated by one of them have rank d by ``gauss_jordan``.
+    A reference for ``is_affine`` and ``affine._affine_rows``."""
+    rows = list(rows)
+    s = len(rows)
+    if not s:
+        return True
+    if s & (s - 1):
+        return False
+    return len(gauss_jordan([r ^ rows[0] for r in rows], width)) == s.bit_length() - 1
+
+
 def ref_in_class(f: Signature, t: int) -> bool:
     """Delta_t-affine membership as the definition reads, with no memo: f
     has a constant-t column; after the first is pinned to t, pinning any
@@ -414,8 +428,43 @@ def ref_in_class(f: Signature, t: int) -> bool:
     if not own:
         return False
     g = pin(f, own[0], t)
-    return all(is_affine(p) or ref_in_class(p, t)
+    return all(ref_is_affine(p.rows, p.arity) or ref_in_class(p, t)
                for p in (pin(g, i, 1 - t) for i in range(1, g.arity + 1)))
+
+
+def ref_is_balanced_hadamard(f: Signature, polarity: Polarity) -> int | None:
+    """``classes.is_balanced_hadamard`` by its definition: for polarity ONE,
+    f has arity n = 2^k >= 2 and n - 1 rows of weight n/2, and
+    complement(hat(f)) holds the zero word, is affine and has n distinct
+    columns; for ZERO, the same of complement(f)."""
+    if polarity is Polarity.ZERO:
+        return ref_is_balanced_hadamard(complement(f), Polarity.ONE)
+    n = f.arity
+    if n < 2 or n & (n - 1) or len(f.rows) != n - 1:
+        return None
+    if any(r.bit_count() != n // 2 for r in f.rows):
+        return None
+    c = complement(hat(f))
+    if 0 not in c.rows or not ref_is_affine(c.rows, n):
+        return None
+    if len({column(c, i) for i in range(1, n + 1)}) != n:
+        return None
+    return n.bit_length() - 1
+
+
+def wt(bits) -> int:
+    """Hamming weight of a bit vector."""
+    return sum(bits)
+
+
+def rows_sorted(f: Signature) -> list:
+    """The support rows as bit vectors, sorted."""
+    return sorted(f.support)
+
+
+def column(f: Signature, i: int) -> tuple:
+    """Column i (1-based) read down the sorted support rows."""
+    return tuple(r[i - 1] for r in rows_sorted(f))
 
 
 # -- bit-vector references ----------------------------------------------------

@@ -45,10 +45,9 @@ from eocount.signatures import (
     extract,
     is_eo,
     strip_columns,
-    wt,
 )
 
-from helpers import random_affine_eo, random_instance
+from helpers import column, random_affine_eo, random_instance, rows_sorted, wt
 
 F2_ROWS = {"1100", "1010", "1001"}
 F3_ROWS = {
@@ -134,7 +133,7 @@ def test_criterion_4_arity4_census():
         if fast:
             kernels.add(f.support)
         if len(f.support) == 3:
-            cols = list(zip(*f.rows_sorted()))
+            cols = list(zip(*rows_sorted(f)))
             if (1, 1, 1) in cols and (0, 0, 0) not in cols:
                 expected.add(f.support)
     ok = ok and total == 64 and kernels == expected
@@ -225,7 +224,7 @@ def test_criterion_9_property_suites():
         f = random_affine_eo(rng, rng.randint(1, 3))
         pairs = pairwise_opposite_pairs(f)
         ok = ok and len(pairs) == f.arity // 2
-        rows = f.rows_sorted()
+        rows = rows_sorted(f)
         for i, j in pairs:
             ok = ok and all(r[i - 1] != r[j - 1] for r in rows)
 
@@ -245,7 +244,7 @@ def test_criterion_9_property_suites():
         seen += 1
         ok = ok and is_eo(f)
         for i in range(1, f.arity + 1):
-            ok = ok and wt(f.column(i)) * 2 == len(f.support)
+            ok = ok and wt(column(f, i)) * 2 == len(f.support)
 
     # extract-1-kernel and the inductive extraction identities, k <= 5
     for k in (3, 4, 5):

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from eocount import NEQ2, Signature, is_affine
 from eocount.affine import (
+    COSET_MIN_ROWS,
+    _affine_rows,
     affine_system,
     constant_weight_profile,
     count_packed,
@@ -13,9 +15,9 @@ from eocount.affine import (
     random_affine_signature,
 )
 from eocount.errors import NotAffineError, PairingError
-from eocount.signatures import delta_factors, is_eo, wt
+from eocount.signatures import delta_factors, is_eo
 
-from helpers import gauss_jordan, random_affine_eo
+from helpers import column, gauss_jordan, random_affine_eo, ref_is_affine, rows_sorted, wt
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 
@@ -45,6 +47,61 @@ def test_is_affine_basic():
 def test_empty_and_singleton_are_affine():
     assert is_affine(Signature(3, frozenset()))
     assert is_affine(Signature.from_strings(["101"]))
+
+
+# coset dimensions d on either side of the row count 2^d at which
+# _affine_rows stops reducing every row and tests coset membership
+_DIMS = {
+    "full_reduction": [d for d in range(8) if 1 << d < COSET_MIN_ROWS],
+    "coset": [d for d in range(8) if 1 << d >= COSET_MIN_ROWS],
+}
+
+
+@st.composite
+def _row_sets(draw, dims):
+    """(width, rows, container): a coset of 2^d points for d in ``dims``,
+    1 to 192 bits wide, the same coset with one bit of one point flipped,
+    or a random set of 2^d rows; passed as a shuffled list, a set or a
+    frozenset."""
+    d = draw(st.sampled_from(dims))
+    width = draw(st.integers(d + 1, 192))
+    word = st.integers(0, (1 << width) - 1)
+    kind = draw(st.sampled_from(["coset", "flipped", "random"]))
+    if kind == "random":
+        rows = draw(st.sets(word, min_size=1 << d, max_size=1 << d))
+    else:
+        # distinct lowest set bits make the basis independent
+        lows = draw(st.lists(st.integers(0, width - 1), min_size=d, max_size=d,
+                             unique=True))
+        points = [draw(word)]
+        for p in lows:
+            b = draw(word) >> (p + 1) << (p + 1) | 1 << p
+            points += [x ^ b for x in points]
+        if kind == "flipped":
+            points[draw(st.integers(0, len(points) - 1))] ^= 1 << draw(
+                st.integers(0, width - 1))
+        rows = set(points)
+    container = draw(st.sampled_from([list, set, frozenset]))
+    given = container(rows)
+    if container is list:
+        draw(st.randoms(use_true_random=False)).shuffle(given)
+    return width, rows, given
+
+
+@pytest.mark.parametrize("path", sorted(_DIMS))
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_affine_rows_matches_rank_reference(path, data):
+    assert _DIMS[path], "the threshold leaves this path no coset size below 2^8"
+    width, rows, given = data.draw(_row_sets(_DIMS[path]))
+    got = _affine_rows(given)
+    assert (got is not None) == ref_is_affine(rows, width)
+    if got is not None:
+        base, basis = got
+        span = {base}
+        for b in basis:
+            span |= {x ^ b for x in span}
+        assert span == rows and len(span) == 1 << len(basis)
 
 
 def _cut_out(constraints, n) -> frozenset:
@@ -128,7 +185,7 @@ def test_pairwise_opposite_random_affine_eo(rng):
         f = random_affine_eo(rng, rng.randint(1, 3))
         pairs = pairwise_opposite_pairs(f)
         assert len(pairs) == f.arity // 2
-        rows = f.rows_sorted()
+        rows = rows_sorted(f)
         for i, j in pairs:
             for r in rows:
                 assert r[i - 1] != r[j - 1]
@@ -152,7 +209,7 @@ def test_constant_weight_without_delta_is_eo_and_balanced(rng):
         assert f.arity % 2 == 0 and weight == f.arity // 2
         assert is_eo(f)
         for i in range(1, f.arity + 1):
-            col = f.column(i)
+            col = column(f, i)
             assert wt(col) * 2 == len(f.support)
 
 

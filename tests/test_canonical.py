@@ -10,7 +10,7 @@ from eocount.errors import BudgetExceeded, SizeCapExceeded
 from eocount.hadamard import Polarity, balanced_code, basic_kernel, butterfly, wings
 from eocount.signatures import DELTA0, DELTA1, m_multiple
 
-from helpers import permute_columns, random_affine_eo, ref_canonical
+from helpers import permute_columns, random_affine_eo, ref_canonical, rows_sorted
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 G2 = Signature.from_strings(["0011", "0101", "0110"])
@@ -19,7 +19,7 @@ G2 = Signature.from_strings(["0011", "0101", "0110"])
 def reference_canonical(f: Signature) -> Signature:
     """Exhaustive minimum over all column permutations (column-major order
     of the row-sorted matrix); only usable for tiny arities."""
-    rows = f.rows_sorted()
+    rows = rows_sorted(f)
     best = None
     for p in itertools.permutations(range(f.arity)):
         mat = sorted(tuple(r[c] for c in p) for r in rows)

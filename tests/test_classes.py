@@ -30,7 +30,7 @@ from eocount.signatures import (
     strip_columns,
 )
 
-from helpers import permute_columns, ref_in_class
+from helpers import permute_columns, ref_in_class, ref_is_balanced_hadamard
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 G2 = Signature.from_strings(["0011", "0101", "0110"])
@@ -159,6 +159,53 @@ def test_is_balanced_hadamard():
         is_balanced_hadamard(m_multiple(balanced_code(3, Polarity.ONE), 2), Polarity.ONE)
         is None
     )
+
+
+@st.composite
+def hadamard_inputs(draw):
+    """A balanced code of either polarity (k <= 5) as it is, with one row
+    changed to another word of the same weight, or m-multiplied; n - 1
+    random rows of weight n/2 at arity n = 4 or 8; or a random linear code
+    of length n = 2^k <= 8 less its zero word, or the complement of one;
+    columns permuted."""
+    kind = draw(st.sampled_from(["code", "swapped", "multiple", "random", "linear"]))
+    if kind == "linear":
+        # a random code of n = 2^k words, less its all-0 or all-1 word:
+        # affine with that word added, but balanced only when Hadamard
+        k = draw(st.integers(1, 3))
+        n = 1 << k
+        span = {0}
+        for _ in range(k):
+            b = draw(st.integers(0, (1 << n) - 1))
+            span |= {x ^ b for x in span}
+        word = draw(st.sampled_from([0, (1 << n) - 1]))
+        f = Signature._packed(n, frozenset(x ^ word for x in span) - {word})
+    elif kind == "random":
+        n = draw(st.sampled_from([4, 8]))
+        words = [v for v in range(1 << n) if v.bit_count() == n // 2]
+        f = Signature._packed(n, frozenset(
+            draw(st.sets(st.sampled_from(words), min_size=n - 1, max_size=n - 1))))
+    else:
+        f = balanced_code(draw(st.integers(1, 5)), draw(st.sampled_from(Polarity)))
+        if kind == "multiple":
+            f = m_multiple(f, draw(st.integers(2, 3)))
+        elif kind == "swapped":
+            # move a 1 of one row to a 0 of the same row
+            rows = sorted(f.rows)
+            i = draw(st.integers(0, len(rows) - 1))
+            bits = [rows[i] >> c & 1 for c in range(f.arity)]
+            one = draw(st.sampled_from([c for c, b in enumerate(bits) if b]))
+            zero = draw(st.sampled_from([c for c, b in enumerate(bits) if not b]))
+            rows[i] ^= 1 << one | 1 << zero
+            f = Signature._packed(f.arity, frozenset(rows))
+    return permute_columns(f, draw(st.permutations(range(f.arity))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hadamard_inputs())
+def test_is_balanced_hadamard_matches_its_definition(f):
+    for polarity in Polarity:
+        assert is_balanced_hadamard(f, polarity) == ref_is_balanced_hadamard(f, polarity)
 
 
 def test_census_arity_4():

@@ -26,9 +26,10 @@ from eocount import (
     tensor,
 )
 from eocount.errors import FormatError
-from eocount.signatures import WeightedSignature, permute_columns, wt
+from eocount.signatures import WeightedSignature, permute_columns
 
 import helpers
+from helpers import wt
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 G2 = Signature.from_strings(["0011", "0101", "0110"])
