@@ -22,8 +22,8 @@ tools (McKay and Piperno, *Practical graph isomorphism, II*):
   and the search then unwinds to the node where the two leaves' paths part,
   since the rest of that branch is the image of one already searched.
 
-``node_budget`` bounds the number of search nodes (forced tails included)
-and raises ``BudgetExceeded`` past it.
+``NODE_BUDGET`` bounds the number of search nodes (forced tails included)
+of one search, and the search raises ``BudgetExceeded`` past it.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ from .errors import BudgetExceeded, SizeCapExceeded
 from .signatures import Signature, column_masks, permute_columns
 
 DEFAULT_CANON_MAX = 64
-_DEFAULT_NODE_BUDGET = 500_000
+NODE_BUDGET = 500_000
 # Size at which _cache is cleared before the next form is stored.
 CACHE_CAP = 1 << 16
 
 _cache: dict = {}
 
 
-def canonical_form(f: Signature, node_budget: int = _DEFAULT_NODE_BUDGET) -> Signature:
+def canonical_form(f: Signature) -> Signature:
     """Canonical representative; equal for f, g iff they differ by a variable
     permutation.  ``DEFAULT_CANON_MAX`` caps the arity; the support may be
     larger."""
@@ -53,7 +53,7 @@ def canonical_form(f: Signature, node_budget: int = _DEFAULT_NODE_BUDGET) -> Sig
     if hit is None:
         if len(_cache) >= CACHE_CAP:
             _cache.clear()
-        hit = _cache[f] = _canonicalize(f, node_budget)
+        hit = _cache[f] = _canonicalize(f)
     return hit
 
 
@@ -63,7 +63,7 @@ def permutation_equivalent(f: Signature, g: Signature) -> bool:
     return canonical_form(f) == canonical_form(g)
 
 
-def _canonicalize(f: Signature, node_budget: int) -> Signature:
+def _canonicalize(f: Signature) -> Signature:
     # Identical columns make one class, searched once with its multiplicity:
     # swapping two of them fixes the support, so which one comes first never
     # changes a key.  A class, like a row block, is a bitmask over the rows,
@@ -128,7 +128,7 @@ def _canonicalize(f: Signature, node_budget: int) -> Signature:
         after a leaf equal to the best (the rest of the subtree there is an
         image of an explored one)."""
         nodes[0] += 1
-        if nodes[0] > node_budget:
+        if nodes[0] > NODE_BUDGET:
             raise BudgetExceeded("canonical_form search budget exceeded")
         if len(blocks) == nrows:
             # Every row stands alone: splits change nothing, so the keys are

@@ -116,7 +116,7 @@ def _in_class_rec(f: Signature, t: int, limit: int) -> bool:
         return hit
     if len(_d1_memo) >= limit:
         raise BudgetExceeded(
-            f"in_d1 budget of {MEMO_BUDGET} new memo entries exceeded"
+            f"in_d{t} budget of {MEMO_BUDGET} new memo entries exceeded"
         )
     rows = f.rows
     own = _folds(f)[t] if rows else 0

@@ -11,8 +11,7 @@ from __future__ import annotations
 import enum
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import and_, or_
+from functools import cached_property
 
 from .affine import _affine_basis, count_packed
 from .classes import _in_class
@@ -22,10 +21,10 @@ from .signatures import (
     Signature,
     WeightedSignature,
     _compress,
+    _folds,
     _positions,
     is_eo,
     pin,
-    pin2,
     strip_columns,
     tensor,
 )
@@ -336,19 +335,22 @@ def chain_reaction(
     The state is four lists over the vertices of the instance's record:
     ``sig`` holds each vertex's current label, ``live`` the endpoints of its
     columns in variable order, ``done`` a mask of the columns already
-    consumed, and ``const`` the label's two folds, its constant-(1 - t) and
-    constant-t columns.  Pinning a constant column loses no row, so only a
-    step that loses rows builds a new label: the firing slot, and a
-    neighbour slot already constant 1 - t, are only marked done, while any
-    other neighbour slot is pinned through ``pin``, leaves ``live`` and is
-    compacted out of ``done`` (a self-loop pins both its slots through
-    ``pin2``).  The folds are taken again only when a label changes, so
-    the next forced slot is the lowest set bit of the constant-t fold
-    outside ``done``.  Done columns stay constant; at the fixpoint they are
-    stripped from the vertices that still have a column left, a vertex with
-    none left reads as the scalar 1, and the residual is the endpoints
-    left, counted by the same affine core as ``solve_affine``.  The
-    record's ``mate`` gives the other endpoint of a slot's edge.
+    consumed, and ``const`` the label's folds from ``_folds``, indexed by
+    value: ``const[v][t]`` holds its constant-t columns.  Every step, a
+    self-loop included, takes one rule.  The firing column k of u is
+    constant t, so it is only marked done.  Its mate, column j of v, is
+    only marked done too when it is already constant 1 - t, since pinning
+    it would lose no row; otherwise it is pinned through ``pin``, leaves
+    ``live`` and is compacted out of ``done``, so only a step that loses
+    rows builds a new label.  A self-loop is the case v == u, where the
+    compaction moves k's done bit along with the others.  The folds are
+    taken again only when a label changes, so the next forced slot is the
+    lowest set bit of the constant-t fold outside ``done``.  Done columns
+    stay constant; at the fixpoint they are stripped from the vertices that
+    still have a column left, a vertex with none left reads as the scalar
+    1, and the residual is the endpoints left, counted by the same affine
+    core as ``solve_affine``.  The record's ``mate`` gives the other
+    endpoint of a slot's edge.
     """
     t = 1 if polarity is Polarity.ONE else 0
     w = _checked(inst)
@@ -369,25 +371,18 @@ def chain_reaction(
     def result(count):
         return CountResult(count, method, tuple(steps) if trace else None)
 
-    def fold(f):
-        # (the constant-(1 - t) columns, the constant-t columns)
-        full = (1 << f.arity) - 1
-        ones = reduce(and_, f.rows, full)
-        zeros = full & ~reduce(or_, f.rows, 0)
-        return (zeros, ones) if t else (ones, zeros)
-
     sig = list(w.labels)
     if any(f.is_zero() for f in sig):
         note("zero signature reached; count is 0")
         return result(0)
     live = [list(w.slots(v)) for v in range(len(sig))]
     done = [0] * len(sig)
-    const = [fold(f) for f in sig]
+    const = [_folds(f) for f in sig]
     queue = deque(range(len(sig)))
 
     while queue:
         u = queue.popleft()
-        cols = const[u][1] & ~done[u]
+        cols = const[u][t] & ~done[u]
         if not cols:
             continue  # nothing to fire until it is pinned again
         k = (cols & -cols).bit_length() - 1  # the first forced column
@@ -395,34 +390,27 @@ def chain_reaction(
         q = mate[p]
         v = owner[q]
         j = live[v].index(q)
-        if v == u:
-            sig[u] = pin2(sig[u], k + 1, j + 1, t, 1 - t)
-            keep = ((1 << len(live[u])) - 1) ^ (1 << k | 1 << j)
-            done[u] = _compress((done[u],), keep)[0]
-            del live[u][max(k, j)], live[u][min(k, j)]
-            const[u] = fold(sig[u])
-            if trace:  # format the step only when it is kept
-                steps.append(f"self-loop at {ids[u]}: pinned slots "
-                             f"{p - start[u] + 1},{q - start[u] + 1}")
+        if trace:  # format the step only when it is kept
+            steps.append(
+                f"self-loop at {ids[u]}: pinned slots "
+                f"{p - start[u] + 1},{q - start[u] + 1}" if v == u else
+                f"propagated {ids[u]}.{p - start[u] + 1} -> "
+                f"{ids[v]}.{q - start[v] + 1}")
+        done[u] |= 1 << k
+        if const[v][1 - t] >> j & 1:
+            done[v] |= 1 << j
         else:
-            done[u] |= 1 << k
-            if const[v][0] >> j & 1:
-                done[v] |= 1 << j
-            else:
-                sig[v] = pin(sig[v], j + 1, 1 - t)
-                d, low = done[v], (1 << j) - 1
-                done[v] = d & low | d >> 1 & ~low
-                del live[v][j]
-                const[v] = fold(sig[v])
-            if trace:
-                steps.append(f"propagated {ids[u]}.{p - start[u] + 1} -> "
-                             f"{ids[v]}.{q - start[v] + 1}")
-        if sig[v].is_zero():
-            note("zero signature reached; count is 0")
-            return result(0)
+            sig[v] = pin(sig[v], j + 1, 1 - t)
+            if sig[v].is_zero():
+                note("zero signature reached; count is 0")
+                return result(0)
+            d, low = done[v], (1 << j) - 1
+            done[v] = d & low | d >> 1 & ~low
+            del live[v][j]
+            const[v] = _folds(sig[v])
         queue.append(u)
         if v != u:
-            if const[v][1] & ~done[v]:
+            if const[v][t] & ~done[v]:
                 queue.append(v)
             elif (done[v] != (1 << len(live[v])) - 1
                   and not w.classes.affine(sig[v])):

@@ -139,13 +139,15 @@ def test_matches_reference_search_on_permuted_families(g):
     assert fresh_form(g) == ref_canonical(g)
 
 
-def test_node_budget_is_enforced():
+def test_node_budget_is_enforced(monkeypatch):
     perm = list(range(32))
     random.Random(3).shuffle(perm)
     g = permute_columns(basic_kernel(5), perm)
     canonical._cache.clear()
+    monkeypatch.setattr(canonical, "NODE_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        canonical_form(g, node_budget=10)
+        canonical_form(g)
     assert g not in canonical._cache
     # a search that keys its way down to every leaf takes over 2,000 nodes
-    assert canonical_form(g, node_budget=1000) == fresh_form(basic_kernel(5))
+    monkeypatch.setattr(canonical, "NODE_BUDGET", 1000)
+    assert canonical_form(g) == fresh_form(basic_kernel(5))

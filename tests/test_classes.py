@@ -51,8 +51,10 @@ def test_in_d1_budget_counts_memo_entries_not_arity(monkeypatch):
     monkeypatch.setattr(classes, "MEMO_BUDGET", 2)
     assert in_d1(basic_kernel(6))  # arity 64, two new memo entries
     deep = tensor(tensor(basic_kernel(2), basic_kernel(2)), basic_kernel(2))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="in_d1 budget of 2 "):
         in_d1(deep)  # arity 12, 13 new memo entries
+    with pytest.raises(BudgetExceeded, match="in_d0 budget of 2 "):
+        in_d0(complement(deep))
 
 
 def test_memo_and_canonical_cache_stay_bounded(monkeypatch):
@@ -278,10 +280,11 @@ def test_classify_runs_the_kernel_test_once(monkeypatch):
         assert len(calls) == 1
 
 
-def _weight_rows(n: int, weight: int, max_size: int):
+def _weight_rows(n: int, weight: int, max_size: int, min_size: int = 0):
     """Sets of rows of arity n, each of the given weight."""
     vectors = [v for v in range(1 << n) if v.bit_count() == weight]
-    return st.sets(st.sampled_from(vectors), max_size=max_size).map(
+    return st.sets(st.sampled_from(vectors), min_size=min_size,
+                   max_size=max_size).map(
         lambda rows: Signature(n, frozenset(
             tuple(r >> c & 1 for c in range(n)) for r in rows)))
 
@@ -290,10 +293,10 @@ def _weight_rows(n: int, weight: int, max_size: int):
 def class_inputs(draw):
     """An EO signature with its columns permuted: a random EO support of
     arity <= 8, an m-multiple kernel (k <= 5, m <= 3), a wing, a balanced
-    code of either polarity, a tensor with DELTA1 or DELTA0, or a tensor of
-    two small EO signatures."""
+    code of either polarity, a tensor with DELTA1 or DELTA0, four rows
+    beside DELTA1 and DELTA0, or a tensor of two small EO signatures."""
     kind = draw(st.sampled_from(["support", "kernel", "wing", "balanced",
-                                 "tensor", "pair"]))
+                                 "tensor", "four", "pair"]))
     if kind == "support":
         half = draw(st.integers(0, 4))
         f = draw(_weight_rows(2 * half, half, 12))
@@ -308,6 +311,14 @@ def class_inputs(draw):
         half, t = draw(st.integers(1, 4)), draw(st.integers(0, 1))
         g = draw(_weight_rows(2 * half - 1, half - t, 8))
         f = tensor(g, DELTA1 if t else DELTA0)
+    elif kind == "four":
+        # four rows of weight 3, rarely a coset, beside a constant-(1 - t)
+        # and a constant-t column: pinning the first to 1 - t after the
+        # second to t leaves the four rows, a pin set of power-of-two size
+        # whose affinity can decide the answer
+        t = draw(st.integers(0, 1))
+        g = draw(_weight_rows(6, 3, 4, min_size=4))
+        f = tensor(tensor(g, DELTA0 if t else DELTA1), DELTA1 if t else DELTA0)
     else:
         pool = st.sampled_from([F2, G2, NEQ2, basic_kernel(2), butterfly(1),
                                 tensor(DELTA1, DELTA0)])

@@ -23,6 +23,7 @@ from eocount import (
     validate,
 )
 from eocount import canonical, canonical_form, classes, classify, engine, kernel_structure
+from eocount import signatures
 from eocount.affine import random_affine_signature
 from eocount.engine import DEFAULT_BRUTE_CAP, gadget_demo_hardness
 from eocount.errors import InstanceError
@@ -363,6 +364,30 @@ def test_chain_pins_only_on_steps_that_lose_rows(monkeypatch):
     steps = sum(s.startswith(("propagated", "self-loop")) for s in res.steps)
     assert res.count >= 1
     assert 0 < calls < steps
+
+
+def test_chain_self_loop_takes_the_neighbour_step(monkeypatch):
+    # a self-loop whose mate slot is already constant 1 - t loses no row,
+    # so it builds no label; one whose mate slot is not builds one
+    calls = Counter()
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(engine, "pin", counting("pin", signatures.pin))
+    monkeypatch.setattr(engine, "pin2", counting("pin2", signatures.pin2),
+                        raising=False)
+    loop = Instance({"d": D1D0}, (("v", "d"),), ((("v", 1), ("v", 2)),))
+    for pol in Polarity:
+        assert chain_reaction(loop, pol).count == 1
+        assert calls["pin"] == calls["pin2"] == 0
+    loops = Instance({"f2": F2}, (("v", "f2"),),
+                     ((("v", 1), ("v", 2)), (("v", 3), ("v", 4))))
+    assert chain_reaction(loops, Polarity.ONE).count == 2
+    assert calls == Counter(pin=1)
 
 
 def test_edges_need_two_endpoints():
