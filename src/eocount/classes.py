@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .affine import _affine_rows, is_affine
+from .affine import _affine_rows, _pivots, is_affine
 from .errors import BudgetExceeded, StructureViolation
 from .hadamard import Polarity
 from .signatures import (
@@ -104,12 +104,41 @@ def _pin_affine(rows, i: int, b: int) -> bool:
     return _affine_rows({r for r in rows if r & bit == want}) is not None
 
 
+def _filled_pins(rows, b: int) -> int:
+    """Mask of the columns whose pin to b is affine for certain, read off the
+    affine hull A of the rows (nonempty).  On a column i that varies on A,
+    the points of A with bit b at i form a hyperplane H of A, and the pin is
+    H less the points of A missing from the rows, so it is H itself when no
+    missing point has bit b at i.  H holds 2^(D-1) points, D the dimension
+    of A, so when that exceeds the row count no pin fills one and the mask
+    is 0.  A delta_t kernel's support is a balanced Hadamard code, or an
+    m-multiple of one, less its all-t word, so each of its pins to 1 - t is
+    a whole hyperplane of the code and the mask holds every column that
+    varies."""
+    base = next(iter(rows))
+    basis = _pivots(r ^ base for r in rows).values()
+    if 1 << len(basis) > 2 * len(rows):
+        return 0
+    span = 0
+    points = [base]
+    for v in basis:
+        span |= v
+        points += [p ^ v for p in points]
+    flip = 0 if b else span  # a missing point spoils the columns where it is b
+    missing = 0
+    for p in points:
+        if p not in rows:
+            missing |= p ^ flip
+    return span & ~missing
+
+
 def _in_class_rec(f: Signature, t: int, limit: int) -> bool:
     """f is delta_t-affine when it has a constant-t column c and, for every
     other column i, pinning i to 1 - t is affine or pin2(f, c, i, t, 1 - t)
-    is again delta_t-affine.  The affine test runs on f's own rows, so a pin
-    is built only where the recursion goes on; _d1_memo holds one entry per
-    (label, t) it reaches."""
+    is again delta_t-affine.  The pins that fill a hyperplane of the rows'
+    affine hull, or are empty, are affine with no test; the others are
+    tested on f's own rows, so a pin is built only where the recursion goes
+    on; _d1_memo holds one entry per (label, t) it reaches."""
     key = (f, t)
     hit = _d1_memo.get(key)
     if hit is not None:
@@ -124,10 +153,12 @@ def _in_class_rec(f: Signature, t: int, limit: int) -> bool:
         result = False
     else:
         c = own & -own
+        # a constant-t column pins to no rows, which are affine
+        rest = ((1 << f.arity) - 1) & ~(own | _filled_pins(rows, 1 - t))
         result = all(
             _pin_affine(rows, i, 1 - t)
             or _in_class_rec(pin2(f, c.bit_length(), i, t, 1 - t), t, limit)
-            for i in _positions(((1 << f.arity) - 1) ^ c)
+            for i in _positions(rest)
         )
     _d1_memo[key] = result
     return result
@@ -152,7 +183,9 @@ def _kernel_polarity(f: Signature) -> tuple:
     has constant-t columns and no constant-(1 - t) ones, and the residual h
     left when they are stripped is not affine while every pin of h to 1 - t
     is.  Stripped columns are constant, so h is affine exactly when f is,
-    and h's pins are f's rows with bit 1 - t at one of the other columns."""
+    and h's pins are f's rows with bit 1 - t at one of the other columns;
+    only those that fill no hyperplane of the rows' affine hull are
+    tested."""
     rows = f.rows
     if not rows:
         return None, 0
@@ -161,6 +194,7 @@ def _kernel_polarity(f: Signature) -> tuple:
         return None, 0
     t = 1 if ones else 0
     others = ((1 << f.arity) - 1) ^ zeros ^ ones
+    others &= ~_filled_pins(rows, 1 - t)
     if all(_pin_affine(rows, i, 1 - t) for i in _positions(others)):
         return t, ones if t else zeros
     return None, 0

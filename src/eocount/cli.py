@@ -4,6 +4,7 @@ generate the standard families, build gadgets, run the kernel census."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import engine
@@ -224,10 +225,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
     except EOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has gone (``eocount ... | head``): stop with no
+        # traceback, and point stdout at devnull so that the flush at exit
+        # does not raise again, as the SIGPIPE note of the signal docs says.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:  # stdout is no file (io.UnsupportedOperation)
+            pass
+        return 1
 
 
 if __name__ == "__main__":

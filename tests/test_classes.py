@@ -30,7 +30,12 @@ from eocount.signatures import (
     strip_columns,
 )
 
-from helpers import permute_columns, ref_in_class, ref_is_balanced_hadamard
+from helpers import (
+    permute_columns,
+    random_affine_eo,
+    ref_in_class,
+    ref_is_balanced_hadamard,
+)
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
 G2 = Signature.from_strings(["0011", "0101", "0110"])
@@ -337,3 +342,86 @@ def test_classes_match_the_definitions(f):
     rep = classify(f)
     assert (rep.in_d1, rep.in_d0, rep.is_d1_kernel, rep.is_d0_kernel) == (d1, d0, k1, k0)
     assert (rep.kernel_info is not None) == (k1 or k0)
+
+
+# Every delta_t kernel family of order k = 2..6: m-multiples (m <= 3) of the
+# balanced codes of both polarities, which include basic_kernel(k) and both
+# halves of wings(k).
+# Order 2 gives the trivial kernels of three rows.
+KERNEL_FAMILIES = [(k, polarity, m, m_multiple(balanced_code(k, polarity), m))
+                   for k in range(2, 7) for polarity in Polarity for m in (1, 2, 3)]
+
+
+@st.composite
+def pin_inputs(draw):
+    """(kernel, f), f a column-permuted EO support of arity <= 10: random
+    rows of weight half, or a random affine EO support with some of its rows
+    taken out and perhaps one row of weight half put in, so that the rows'
+    affine hull has missing points with either bit at a column; or, with
+    kernel True, a kernel family."""
+    kind = draw(st.sampled_from(["support", "punctured", "kernel"]))
+    if kind == "support":
+        half = draw(st.integers(1, 5))
+        f = draw(_weight_rows(2 * half, half, 12, min_size=1))
+    elif kind == "punctured":
+        half = draw(st.integers(1, 5))
+        g = random_affine_eo(random.Random(draw(st.integers(0, 2**32))), half)
+        rows = sorted(g.rows)
+        keep = draw(st.sets(st.sampled_from(rows), min_size=1))
+        n = 2 * half
+        extra = draw(st.sets(st.sampled_from(
+            [v for v in range(1 << n) if v.bit_count() == half]), max_size=1))
+        f = Signature._packed(n, frozenset(keep | extra))
+    else:
+        f = draw(st.sampled_from(KERNEL_FAMILIES))[3]
+    return kind == "kernel", permute_columns(f, draw(st.permutations(range(f.arity))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pin_inputs())
+def test_filled_pins_are_affine_and_cover_a_kernel(case):
+    kernel, f = case
+    rows = f.rows
+    base = next(iter(rows))
+    varying = 0
+    for r in rows:
+        varying |= r ^ base
+    for b in (0, 1):
+        filled = classes._filled_pins(rows, b)
+        assert filled & ~varying == 0
+        for i in range(1, f.arity + 1):
+            if filled >> (i - 1) & 1:
+                assert classes._pin_affine(rows, i, b)
+    if kernel:
+        # every pin to 1 - t is a hyperplane of the code (with the all-t
+        # word, which has bit t everywhere, put back)
+        t, _ = classes._kernel_polarity(f)
+        assert classes._filled_pins(rows, 1 - t) == varying
+
+
+def test_kernel_tests_settle_every_pin_from_the_hull(monkeypatch):
+    calls = []
+    real = classes._pin_affine
+
+    def counted(rows, i, b):
+        calls.append(i)
+        return real(rows, i, b)
+
+    monkeypatch.setattr(classes, "_pin_affine", counted)
+    rng = random.Random(18)
+    for k, polarity, m, f in KERNEL_FAMILIES:
+        perm = list(range(f.arity))
+        rng.shuffle(perm)
+        info = kernel_structure(permute_columns(f, perm))
+        assert (info.polarity, info.m) == (polarity, m)
+        assert info.k == (k if k > 2 else None)
+        assert calls == []
+    perm = list(range(32))
+    rng.shuffle(perm)
+    monkeypatch.setattr(classes, "_d1_memo", {})
+    rep = classify(permute_columns(basic_kernel(5), perm))
+    assert rep.in_d1 and rep.is_d1_kernel and not rep.in_d0
+    info = rep.kernel_info
+    assert (info.kind, info.polarity, info.k, info.m) == (
+        KernelKind.HADAMARD, Polarity.ONE, 5, 1)
+    assert calls == []

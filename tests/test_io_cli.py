@@ -278,3 +278,26 @@ def test_cli_missing_file_exits_2(tmp_path, capsys):
 def test_cli_unknown_flag_errors(tmp_path):
     with pytest.raises(SystemExit):
         main(["solve", "x", "--frobnicate"])
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone (``| head``): writes raise."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--arity", "4"],
+    ["gen", "kernel", "--k", "6", "--m", "3"],
+    ["classify", "KERNEL"],
+])
+def test_cli_closed_pipe_exits_1_with_no_traceback(tmp_path, monkeypatch, argv):
+    path = tmp_path / "kernel.sig"
+    path.write_text("1100\n1010\n1001\n")
+    argv = [str(path) if a == "KERNEL" else a for a in argv]
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(argv) == 1
+    assert err.getvalue() == ""
