@@ -13,11 +13,11 @@ from .errors import BudgetExceeded, StructureViolation
 from .hadamard import Polarity
 from .signatures import (
     Signature,
+    _compress,
     _folds,
     _positions,
     delta_factors,
     is_eo,
-    multiple_decompose,
     pin,
     pin2,
     strip_columns,
@@ -104,9 +104,36 @@ def _pin_affine(rows, i: int, b: int) -> bool:
     return _affine_rows({r for r in rows if r & bit == want}) is not None
 
 
-def _filled_pins(rows, b: int) -> int:
-    """Mask of the columns whose pin to b is affine for certain, read off the
-    affine hull A of the rows (nonempty).  On a column i that varies on A,
+def _coset(base: int, basis) -> list:
+    """The 2^len(basis) points of base + span(basis)."""
+    points = [base]
+    for v in basis:
+        points += [p ^ v for p in points]
+    return points
+
+
+def _hull(rows) -> tuple:
+    """(base, basis, missing) for the affine hull A of the rows (nonempty):
+    A is base + span(basis), the basis D independent vectors, and missing
+    the set of A's points that are not rows.  missing is None when
+    2^D > 2 * |rows|: then no pin fills a hyperplane of A (see
+    _filled_pins), A is not listed and basis may be cut short.  So the
+    reduction stops at top = floor(log2(2 * |rows|)) pivots, and the coset
+    they span is A exactly when it holds every row, that is when |rows| of
+    its points are rows."""
+    base = next(iter(rows))
+    top = (2 * len(rows)).bit_length() - 1
+    basis = tuple(_pivots((r ^ base for r in rows), top).values())
+    points = _coset(base, basis)
+    missing = set(points).difference(rows)
+    if len(points) - len(missing) != len(rows):
+        return base, basis, None
+    return base, basis, missing
+
+
+def _filled_pins(hull: tuple, b: int) -> int:
+    """Mask of the columns whose pin to b is affine for certain, read off
+    the rows' affine hull A (see _hull).  On a column i that varies on A,
     the points of A with bit b at i form a hyperplane H of A, and the pin is
     H less the points of A missing from the rows, so it is H itself when no
     missing point has bit b at i.  H holds 2^(D-1) points, D the dimension
@@ -115,30 +142,28 @@ def _filled_pins(rows, b: int) -> int:
     m-multiple of one, less its all-t word, so each of its pins to 1 - t is
     a whole hyperplane of the code and the mask holds every column that
     varies."""
-    base = next(iter(rows))
-    basis = _pivots(r ^ base for r in rows).values()
-    if 1 << len(basis) > 2 * len(rows):
+    _, basis, missing = hull
+    if missing is None:
         return 0
     span = 0
-    points = [base]
     for v in basis:
         span |= v
-        points += [p ^ v for p in points]
     flip = 0 if b else span  # a missing point spoils the columns where it is b
-    missing = 0
-    for p in points:
-        if p not in rows:
-            missing |= p ^ flip
-    return span & ~missing
+    spoilt = 0
+    for p in missing:
+        spoilt |= p ^ flip
+    return span & ~spoilt
 
 
 def _in_class_rec(f: Signature, t: int, limit: int) -> bool:
     """f is delta_t-affine when it has a constant-t column c and, for every
     other column i, pinning i to 1 - t is affine or pin2(f, c, i, t, 1 - t)
-    is again delta_t-affine.  The pins that fill a hyperplane of the rows'
-    affine hull, or are empty, are affine with no test; the others are
-    tested on f's own rows, so a pin is built only where the recursion goes
-    on; _d1_memo holds one entry per (label, t) it reaches."""
+    is again delta_t-affine.  Rows that are their whole affine hull are a
+    coset, every pin of which is affine; otherwise the pins that fill a
+    hyperplane of the hull, or are empty, are affine with no test, and the
+    others are tested on f's own rows, so a pin is built only where the
+    recursion goes on; _d1_memo holds one entry per (label, t) it
+    reaches."""
     key = (f, t)
     hit = _d1_memo.get(key)
     if hit is not None:
@@ -151,10 +176,12 @@ def _in_class_rec(f: Signature, t: int, limit: int) -> bool:
     own = _folds(f)[t] if rows else 0
     if not own:
         result = False
+    elif (hull := _hull(rows))[2] == set():
+        result = True  # the rows are a coset, and every pin of a coset is affine
     else:
         c = own & -own
         # a constant-t column pins to no rows, which are affine
-        rest = ((1 << f.arity) - 1) & ~(own | _filled_pins(rows, 1 - t))
+        rest = ((1 << f.arity) - 1) & ~(own | _filled_pins(hull, 1 - t))
         result = all(
             _pin_affine(rows, i, 1 - t)
             or _in_class_rec(pin2(f, c.bit_length(), i, t, 1 - t), t, limit)
@@ -178,26 +205,30 @@ def is_d0_kernel(f: Signature) -> bool:
 
 
 def _kernel_polarity(f: Signature) -> tuple:
-    """(t, own) for a delta_t kernel f, own the mask of its constant-t
-    columns; (None, 0) when f is no kernel.  f is a delta_t kernel when it
-    has constant-t columns and no constant-(1 - t) ones, and the residual h
-    left when they are stripped is not affine while every pin of h to 1 - t
-    is.  Stripped columns are constant, so h is affine exactly when f is,
-    and h's pins are f's rows with bit 1 - t at one of the other columns;
-    only those that fill no hyperplane of the rows' affine hull are
+    """(t, own, hull) for a delta_t kernel f, own the mask of its constant-t
+    columns and hull the _hull of its rows; (None, 0, None) when f is no
+    kernel.  f is a delta_t kernel when it has constant-t columns and no
+    constant-(1 - t) ones, and the residual h left when they are stripped is
+    not affine while every pin of h to 1 - t is.  Stripped columns are
+    constant, so h is affine exactly when f is, which is when the rows are
+    their whole hull; h's pins are f's rows with bit 1 - t at one of the
+    other columns, and only those that fill no hyperplane of the hull are
     tested."""
     rows = f.rows
     if not rows:
-        return None, 0
+        return None, 0, None
     zeros, ones = _folds(f)
-    if bool(zeros) == bool(ones) or _affine_rows(rows) is not None:
-        return None, 0
+    if bool(zeros) == bool(ones):
+        return None, 0, None
+    hull = _hull(rows)
+    if hull[2] == set():  # the rows are a coset: f is affine
+        return None, 0, None
     t = 1 if ones else 0
     others = ((1 << f.arity) - 1) ^ zeros ^ ones
-    others &= ~_filled_pins(rows, 1 - t)
+    others &= ~_filled_pins(hull, 1 - t)
     if all(_pin_affine(rows, i, 1 - t) for i in _positions(others)):
-        return t, ones if t else zeros
-    return None, 0
+        return t, ones if t else zeros, hull
+    return None, 0, None
 
 
 def direct_d1_kernel(f: Signature) -> bool:
@@ -250,15 +281,28 @@ def kernel_structure(f: Signature) -> KernelStructure:
     """Structural decomposition of a kernel per the characterization:
     trivial (support 3) or an m-multiple of a balanced Hadamard code."""
     _require_eo(f)
-    t, own = _kernel_polarity(f)
+    t, own, hull = _kernel_polarity(f)
     if t is None:
         raise ValueError("not a kernel")
-    return _structure(f, t, own)
+    return _structure(f, t, own, hull)
 
 
-def _structure(f: Signature, t: int, own: int) -> KernelStructure:
-    """kernel_structure for a delta_t kernel whose constant-t columns, the
-    mask own, the kernel test already found."""
+def _structure(f: Signature, t: int, own: int, hull: tuple) -> KernelStructure:
+    """kernel_structure for a delta_t kernel whose constant-t columns (the
+    mask own) and rows' _hull the kernel test already found; the result is
+    multiple_decompose's grouping and base and is_balanced_hadamard's k.
+
+    Two columns are equal on the rows exactly when they are equal on the
+    hull (their sum is affine, and an affine function that vanishes on a
+    set vanishes on its affine hull), so the columns group by their bits in
+    the hull's base and basis vectors, and the grouping is one-to-one on
+    the hull.  The base, one column per group, is a balanced Hadamard code
+    of length nb = 2^k, k >= 2, exactly when the groups are of one size, it
+    has nb - 1 rows and the hull's one missing point is the all-t word:
+    the rows with that word are then a linear code (translated by the word)
+    of dimension k whose 2^k distinct columns are all its linear
+    functionals, and conversely a coset of dimension k >= 2 less one point
+    spans the coset."""
     polarity = Polarity.ONE if t else Polarity.ZERO
     if len(f.rows) == 3:
         return KernelStructure(
@@ -269,17 +313,39 @@ def _structure(f: Signature, t: int, own: int) -> KernelStructure:
             f,
             tuple((i,) for i in range(1, f.arity + 1)),
         )
-    base, m, grouping = multiple_decompose(f)
-    k = is_balanced_hadamard(base, polarity)
-    if k is None:
+    n = f.arity
+    origin, basis, missing = hull
+    if missing is None:
         raise StructureViolation("kernel base is not a balanced Hadamard code")
-    if len(f.rows) != (1 << k) - 1 or f.arity != m << k:
-        raise StructureViolation(
-            f"kernel size mismatch: support {len(f.rows)}, arity {f.arity}, "
-            f"k={k}, m={m}"
-        )
+    by_column: dict = {}
+    bits = (format(v, f"0{n}b")[::-1] for v in (origin, *basis))
+    for i, col in enumerate(zip(*bits), 1):
+        by_column.setdefault(col, []).append(i)
+    nb = len(by_column)
+    m = n // nb
+    word = (1 << n) - 1 if t else 0
+    if (
+        nb & (nb - 1)
+        or len(f.rows) != nb - 1
+        or missing != {word}
+        or any(len(g) != m for g in by_column.values())
+    ):
+        raise StructureViolation("kernel base is not a balanced Hadamard code")
+    base = f
+    if m > 1:
+        # first members ascend, so the base keeps them in group order; the
+        # rows are the hull less the word, so only its k + 1 ints compress
+        keep = sum(1 << (g[0] - 1) for g in by_column.values())
+        origin, *basis = _compress((origin, *basis), keep)
+        code = frozenset(_coset(origin, basis))
+        base = Signature._packed(nb, code - {word & ((1 << nb) - 1)})
     return KernelStructure(
-        polarity, KernelKind.HADAMARD, k, m, base, tuple(tuple(g) for g in grouping)
+        polarity,
+        KernelKind.HADAMARD,
+        nb.bit_length() - 1,
+        m,
+        base,
+        tuple(tuple(g) for g in by_column.values()),
     )
 
 
@@ -290,6 +356,6 @@ def classify(f: Signature) -> ClassReport:
     aff = is_affine(f)
     d1 = _in_class(f, 1)
     d0 = _in_class(f, 0)
-    t, own = _kernel_polarity(f)
-    info = None if t is None else _structure(f, t, own)
+    t, own, hull = _kernel_polarity(f)
+    info = None if t is None else _structure(f, t, own, hull)
     return ClassReport(True, aff, d1, d0, t == 1, t == 0, info)

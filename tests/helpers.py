@@ -416,6 +416,19 @@ def ref_is_affine(rows, width: int) -> bool:
     return len(gauss_jordan([r ^ rows[0] for r in rows], width)) == s.bit_length() - 1
 
 
+def ref_hull(rows, width: int) -> tuple:
+    """(points, missing) for the affine hull of nonempty packed rows of
+    ``width`` bits: every point of a row plus the span of the rows'
+    differences, all of them reduced by ``gauss_jordan``, and the points
+    that are not rows.  A reference for ``classes._hull``."""
+    rows = set(rows)
+    base = next(iter(rows))
+    points = {base}
+    for v in gauss_jordan([r ^ base for r in rows], width):
+        points |= {p ^ v for p in points}
+    return points, points - rows
+
+
 def ref_in_class(f: Signature, t: int) -> bool:
     """Delta_t-affine membership as the definition reads, with no memo: f
     has a constant-t column; after the first is pinned to t, pinning any

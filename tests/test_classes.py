@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,8 @@ from eocount import (
     m_multiple,
     tensor,
 )
-from eocount import canonical, canonical_form, classes
-from eocount.classes import KernelKind, direct_d1_kernel
+from eocount import affine, canonical, canonical_form, classes, signatures
+from eocount.classes import ClassReport, KernelKind, direct_d1_kernel
 from eocount.errors import BudgetExceeded, SizeCapExceeded, StructureViolation
 from eocount.hadamard import Polarity, balanced_code, basic_kernel, butterfly, wings
 from eocount.signatures import (
@@ -27,12 +28,14 @@ from eocount.signatures import (
     DELTA1,
     delta_factors,
     enumerate_eo_supports,
+    multiple_decompose,
     strip_columns,
 )
 
 from helpers import (
     permute_columns,
     random_affine_eo,
+    ref_hull,
     ref_in_class,
     ref_is_balanced_hadamard,
 )
@@ -387,7 +390,7 @@ def test_filled_pins_are_affine_and_cover_a_kernel(case):
     for r in rows:
         varying |= r ^ base
     for b in (0, 1):
-        filled = classes._filled_pins(rows, b)
+        filled = classes._filled_pins(classes._hull(rows), b)
         assert filled & ~varying == 0
         for i in range(1, f.arity + 1):
             if filled >> (i - 1) & 1:
@@ -395,8 +398,8 @@ def test_filled_pins_are_affine_and_cover_a_kernel(case):
     if kernel:
         # every pin to 1 - t is a hyperplane of the code (with the all-t
         # word, which has bit t everywhere, put back)
-        t, _ = classes._kernel_polarity(f)
-        assert classes._filled_pins(rows, 1 - t) == varying
+        t, _, _ = classes._kernel_polarity(f)
+        assert classes._filled_pins(classes._hull(rows), 1 - t) == varying
 
 
 def test_kernel_tests_settle_every_pin_from_the_hull(monkeypatch):
@@ -425,3 +428,83 @@ def test_kernel_tests_settle_every_pin_from_the_hull(monkeypatch):
     assert (info.kind, info.polarity, info.k, info.m) == (
         KernelKind.HADAMARD, Polarity.ONE, 5, 1)
     assert calls == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(pin_inputs())
+def test_hull_matches_full_elimination(case):
+    _, f = case
+    rows = f.rows
+    points, missing = ref_hull(rows, f.arity)
+    base, basis, got = classes._hull(rows)
+    if len(points) > 2 * len(rows):
+        assert got is None
+    else:
+        assert set(classes._coset(base, basis)) == points
+        assert got == missing
+
+
+def test_class_tests_test_no_pin_of_an_affine_label(monkeypatch):
+    calls = []
+    real = classes._pin_affine
+
+    def counted(rows, i, b):
+        calls.append(i)
+        return real(rows, i, b)
+
+    monkeypatch.setattr(classes, "_pin_affine", counted)
+    rng = random.Random(19)
+    labels = [butterfly(k) for k in range(1, 5)]
+    labels += [random_affine_eo(rng, half) for half in range(1, 6) for _ in range(4)]
+    for f in labels:
+        perm = list(range(f.arity))
+        rng.shuffle(perm)
+        g = permute_columns(f, perm)
+        monkeypatch.setattr(classes, "_d1_memo", {})
+        rep = classify(g)
+        assert calls == []
+        assert rep == ClassReport(True, True, ref_in_class(g, 1), ref_in_class(g, 0),
+                                  False, False)
+
+
+# Every kernel among the EO supports of arity 4: all are trivial.
+ARITY4_KERNELS = [f for f in enumerate_eo_supports(4)
+                  if f.rows and (direct_d1_kernel(f) or direct_d1_kernel(complement(f)))]
+
+
+def _counting(calls: Counter, name: str, real):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    return counted
+
+
+def test_kernel_structure_reads_the_definition_off_the_hull():
+    rng = random.Random(19)
+    assert ARITY4_KERNELS
+    for f in [f for *_, f in KERNEL_FAMILIES] + ARITY4_KERNELS:
+        perm = list(range(f.arity))
+        rng.shuffle(perm)
+        g = permute_columns(f, perm)
+        polarity = Polarity.ONE if direct_d1_kernel(g) else Polarity.ZERO
+        if len(g.rows) == 3:
+            own = delta_factors(g)[0 if polarity is Polarity.ONE else 1]
+            want = (polarity, KernelKind.TRIVIAL, None, len(own), g,
+                    tuple((i,) for i in range(1, g.arity + 1)))
+        else:
+            base, m, groups = multiple_decompose(g)
+            want = (polarity, KernelKind.HADAMARD, is_balanced_hadamard(base, polarity),
+                    m, base, tuple(tuple(grp) for grp in groups))
+        calls = Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_pivots", "multiple_decompose", "is_balanced_hadamard",
+                         "column_masks"):
+                for module in (affine, classes, signatures):
+                    real = getattr(module, name, None)
+                    if real is not None:
+                        mp.setattr(module, name, _counting(calls, name, real))
+            info = kernel_structure(g)
+        assert (info.polarity, info.kind, info.k, info.m, info.base,
+                info.column_grouping) == want
+        assert calls == {"_pivots": 1}
+
