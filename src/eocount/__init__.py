@@ -68,7 +68,6 @@ from .signatures import (
     hat,
     is_eo,
     m_multiple,
-    multiple_decompose,
     pin,
     pin2,
     signature_from_text,
@@ -93,7 +92,7 @@ __all__ = [
     "DELTA0", "DELTA1", "NEQ2", "SCALAR_ONE", "SCALAR_ZERO",
     "Signature", "WeightedSignature", "complement",
     "delta_factors", "extract", "hat", "is_eo",
-    "m_multiple", "multiple_decompose", "pin", "pin2",
+    "m_multiple", "pin", "pin2",
     "signature_from_text", "signature_to_text", "strip_columns", "tensor",
 ]
 

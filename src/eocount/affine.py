@@ -1,6 +1,6 @@
-"""GF(2) affine machinery: affine detection, basis/constraint extraction,
-solution counting, and the pairwise-opposite decomposition of affine EO
-signatures.
+"""GF(2) affine machinery: affine detection, affine hulls and their cosets,
+basis/constraint extraction, solution counting, and the pairwise-opposite
+decomposition of affine EO signatures.
 
 Vectors are packed into Python ints, bit i (0-based) holding variable i+1.
 """
@@ -11,13 +11,6 @@ from dataclasses import dataclass
 
 from .errors import NotAffineError, PairingError
 from .signatures import Signature, column_masks, is_eo
-
-# Row count from which _affine_rows tests a set by coset membership instead
-# of reducing every row.  Timed on the pin sets of column-permuted basic
-# kernels, the coset test takes 1.5x the time of the full reduction at 4
-# rows (arity 8) and 1.3x at 8 (arity 16), but 0.95x at 16 (arity 32),
-# 0.68x at 32 (arity 64) and 0.49x at 32 rows of arity 192.
-COSET_MIN_ROWS = 16
 
 
 def _pivots(rows, rank: int = -1) -> dict:
@@ -39,6 +32,34 @@ def _pivots(rows, rank: int = -1) -> dict:
                 break
             r ^= p
     return pivots
+
+
+def _coset(base: int, basis) -> list:
+    """The 2^len(basis) points of base + span(basis)."""
+    points = [base]
+    for v in basis:
+        points += [p ^ v for p in points]
+    return points
+
+
+def _hull(rows) -> tuple:
+    """(base, basis, missing) for the affine hull A of the rows (nonempty):
+    A is base + span(basis), the basis D independent vectors, and missing
+    the set of A's points that are not rows.  missing is None when
+    2^D > 2 * |rows|: then no hyperplane of A (2^(D-1) points) lies in the
+    rows, so no pin fills one (see classes._filled_pins), A is not listed
+    and basis may be cut short.  So the reduction stops at
+    top = floor(log2(2 * |rows|)) pivots, and the coset they span is A
+    exactly when it holds every row, that is when |rows| of its points are
+    rows."""
+    base = next(iter(rows))
+    top = (2 * len(rows)).bit_length() - 1
+    basis = tuple(_pivots((r ^ base for r in rows), top).values())
+    points = _coset(base, basis)
+    missing = set(points).difference(rows)
+    if len(points) - len(missing) != len(rows):
+        return base, basis, None
+    return base, basis, missing
 
 
 def gf2_eliminate(rows: list, ncols: int) -> list:
@@ -98,30 +119,17 @@ def _affine_basis(f: Signature):
 
 
 def _affine_rows(rows):
-    """``_affine_basis`` of any sized collection of distinct packed rows.
-
-    s = 2^d distinct rows span a space of rank at least d around any one of
-    them, so they are affine exactly when the first d independent
-    differences span a coset that holds them all.  From COSET_MIN_ROWS rows
-    up, rows are reduced only until those d pivots are found, and the 2^d
-    points of the coset are looked up in the rows as a set; below it, every
-    row is reduced, which is faster on so few."""
+    """``_affine_basis`` of any sized collection of distinct packed rows:
+    s rows are affine exactly when s is a power of two and their
+    differences from one of them have rank log2(s)."""
     s = len(rows)
     if s == 0:
         return None, ()
     if s & (s - 1):
         return None
     base = next(iter(rows))
-    if s < COSET_MIN_ROWS:
-        basis = tuple(_pivots(r ^ base for r in rows).values())
-        return (base, basis) if s == 1 << len(basis) else None
-    basis = tuple(_pivots((r ^ base for r in rows), s.bit_length() - 1).values())
-    points = [base]
-    for b in basis:
-        points += [p ^ b for p in points]
-    if not isinstance(rows, (set, frozenset)):
-        rows = set(rows)
-    return (base, basis) if rows.issuperset(points) else None
+    basis = tuple(_pivots(r ^ base for r in rows).values())
+    return (base, basis) if s == 1 << len(basis) else None
 
 
 def is_affine(f: Signature) -> bool:
@@ -194,7 +202,4 @@ def random_affine_signature(rng, n: int) -> Signature:
     offset = rng.getrandbits(n)
     vecs = [rng.getrandbits(n) for _ in range(dim)]
     basis = gf2_eliminate(vecs, n)
-    sols = {offset}
-    for v in basis:
-        sols |= {x ^ v for x in sols}
-    return Signature._packed(n, frozenset(sols))
+    return Signature._packed(n, frozenset(_coset(offset, basis)))

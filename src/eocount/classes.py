@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .affine import _affine_rows, _pivots, is_affine
+from .affine import _affine_rows, _coset, _hull, is_affine
 from .errors import BudgetExceeded, StructureViolation
 from .hadamard import Polarity
 from .signatures import (
@@ -82,16 +82,11 @@ def in_d0(f: Signature) -> bool:
 
 def _in_class(f: Signature, t: int) -> bool:
     """Delta_t-affine membership of an EO signature, as one top-level call
-    with its own memo budget."""
-    return _in_class_rec(f, t, _memo_limit())
-
-
-def _memo_limit() -> int:
-    """Start of a top-level call: clear _d1_memo if it has reached MEMO_CAP,
-    and return the memo size at which the call's budget runs out."""
+    with its own memo budget: _d1_memo is cleared first if it has reached
+    MEMO_CAP, and the call may add MEMO_BUDGET entries to it."""
     if len(_d1_memo) >= MEMO_CAP:
         _d1_memo.clear()
-    return len(_d1_memo) + MEMO_BUDGET
+    return _in_class_rec(f, t, len(_d1_memo) + MEMO_BUDGET)
 
 
 def _pin_affine(rows, i: int, b: int) -> bool:
@@ -102,33 +97,6 @@ def _pin_affine(rows, i: int, b: int) -> bool:
     bit = 1 << (i - 1)
     want = b * bit
     return _affine_rows({r for r in rows if r & bit == want}) is not None
-
-
-def _coset(base: int, basis) -> list:
-    """The 2^len(basis) points of base + span(basis)."""
-    points = [base]
-    for v in basis:
-        points += [p ^ v for p in points]
-    return points
-
-
-def _hull(rows) -> tuple:
-    """(base, basis, missing) for the affine hull A of the rows (nonempty):
-    A is base + span(basis), the basis D independent vectors, and missing
-    the set of A's points that are not rows.  missing is None when
-    2^D > 2 * |rows|: then no pin fills a hyperplane of A (see
-    _filled_pins), A is not listed and basis may be cut short.  So the
-    reduction stops at top = floor(log2(2 * |rows|)) pivots, and the coset
-    they span is A exactly when it holds every row, that is when |rows| of
-    its points are rows."""
-    base = next(iter(rows))
-    top = (2 * len(rows)).bit_length() - 1
-    basis = tuple(_pivots((r ^ base for r in rows), top).values())
-    points = _coset(base, basis)
-    missing = set(points).difference(rows)
-    if len(points) - len(missing) != len(rows):
-        return base, basis, None
-    return base, basis, missing
 
 
 def _filled_pins(hull: tuple, b: int) -> int:
@@ -289,8 +257,9 @@ def kernel_structure(f: Signature) -> KernelStructure:
 
 def _structure(f: Signature, t: int, own: int, hull: tuple) -> KernelStructure:
     """kernel_structure for a delta_t kernel whose constant-t columns (the
-    mask own) and rows' _hull the kernel test already found; the result is
-    multiple_decompose's grouping and base and is_balanced_hadamard's k.
+    mask own) and rows' affine._hull the kernel test already found; the
+    result groups the identical columns, keeps the first of each group in
+    the base, and has is_balanced_hadamard's k of that base.
 
     Two columns are equal on the rows exactly when they are equal on the
     hull (their sum is affine, and an affine function that vanishes on a

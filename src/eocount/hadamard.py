@@ -46,17 +46,17 @@ def _check_k(k: int, low: int = 0, cap: int = DEFAULT_MAX_K) -> None:
 
 
 def sylvester(k: int) -> PmMatrix:
-    """The 2^k Sylvester Hadamard matrix, by blockwise doubling."""
+    """The 2^k Sylvester Hadamard matrix: entry (a, m) is -1 exactly where
+    bit m of _parity_rows(k)[a] is set."""
     _check_k(k)
-    rows = [[1]]
-    for _ in range(k):
-        rows = [r + r for r in rows] + [r + [-e for e in r] for r in rows]
-    return PmMatrix(1 << k, tuple(tuple(r) for r in rows))
+    n = 1 << k
+    rows = (tuple(1 - 2 * (r >> m & 1) for m in range(n)) for r in _parity_rows(k))
+    return PmMatrix(n, tuple(rows))
 
 
 def _parity_rows(k: int) -> list:
     """Row a, for 0 <= a < 2^k, has bit m set iff a & m has odd weight:
-    the -1 entries of row a of the Sylvester matrix, built by the same
+    the -1 entries of row a of the Sylvester matrix, built by blockwise
     doubling."""
     rows = [0]
     for j in range(k):

@@ -305,29 +305,6 @@ def m_multiple(f: Signature, m: int) -> Signature:
     return Signature._packed(f.arity * m, frozenset(r * repeat for r in f.rows))
 
 
-def multiple_decompose(f: Signature) -> tuple:
-    """Undo m_multiple by grouping identical columns.
-
-    Returns (base, m, grouping) where grouping is a list of 1-based index
-    groups in first-occurrence order.  If identical columns do not come in
-    equally sized groups, returns m=1 with base=f and singleton groups.
-    """
-    if not f.rows:
-        raise ValueError("multiple_decompose requires a nonempty support")
-    by_column: dict = {}
-    for i, col in enumerate(column_masks(f), 1):
-        by_column.setdefault(col, []).append(i)
-    groups = list(by_column.values())
-    sizes = {len(g) for g in groups}
-    if len(sizes) != 1 or sizes == {1}:
-        return f, 1, [[i] for i in range(1, f.arity + 1)]
-    (m,) = sizes
-    # first members ascend, so the base keeps them in group order
-    keep = sum(1 << (g[0] - 1) for g in groups)
-    base = Signature._packed(len(groups), frozenset(_compress(f.rows, keep)))
-    return base, m, groups
-
-
 # -- text format ------------------------------------------------------------
 
 # The text form of the empty row, the one support row of the scalar 1

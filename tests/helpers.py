@@ -420,7 +420,7 @@ def ref_hull(rows, width: int) -> tuple:
     """(points, missing) for the affine hull of nonempty packed rows of
     ``width`` bits: every point of a row plus the span of the rows'
     differences, all of them reduced by ``gauss_jordan``, and the points
-    that are not rows.  A reference for ``classes._hull``."""
+    that are not rows.  A reference for ``affine._hull``."""
     rows = set(rows)
     base = next(iter(rows))
     points = {base}

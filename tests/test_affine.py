@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from eocount import NEQ2, Signature, is_affine
 from eocount.affine import (
-    COSET_MIN_ROWS,
     _affine_rows,
     affine_system,
     constant_weight_profile,
@@ -49,21 +48,13 @@ def test_empty_and_singleton_are_affine():
     assert is_affine(Signature.from_strings(["101"]))
 
 
-# coset dimensions d on either side of the row count 2^d at which
-# _affine_rows stops reducing every row and tests coset membership
-_DIMS = {
-    "full_reduction": [d for d in range(8) if 1 << d < COSET_MIN_ROWS],
-    "coset": [d for d in range(8) if 1 << d >= COSET_MIN_ROWS],
-}
-
-
 @st.composite
-def _row_sets(draw, dims):
-    """(width, rows, container): a coset of 2^d points for d in ``dims``,
+def _row_sets(draw):
+    """(width, rows, container): a coset of 2^d points for 0 <= d < 8,
     1 to 192 bits wide, the same coset with one bit of one point flipped,
     or a random set of 2^d rows; passed as a shuffled list, a set or a
     frozenset."""
-    d = draw(st.sampled_from(dims))
+    d = draw(st.integers(0, 7))
     width = draw(st.integers(d + 1, 192))
     word = st.integers(0, (1 << width) - 1)
     kind = draw(st.sampled_from(["coset", "flipped", "random"]))
@@ -88,12 +79,10 @@ def _row_sets(draw, dims):
     return width, rows, given
 
 
-@pytest.mark.parametrize("path", sorted(_DIMS))
-@settings(max_examples=500, deadline=None)
-@given(data=st.data())
-def test_affine_rows_matches_rank_reference(path, data):
-    assert _DIMS[path], "the threshold leaves this path no coset size below 2^8"
-    width, rows, given = data.draw(_row_sets(_DIMS[path]))
+@settings(max_examples=1000, deadline=None)
+@given(_row_sets())
+def test_affine_rows_matches_rank_reference(case):
+    width, rows, given = case
     got = _affine_rows(given)
     assert (got is not None) == ref_is_affine(rows, width)
     if got is not None:

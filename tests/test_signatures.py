@@ -17,7 +17,6 @@ from eocount import (
     hat,
     is_eo,
     m_multiple,
-    multiple_decompose,
     pin,
     pin2,
     signature_from_text,
@@ -111,18 +110,7 @@ def test_strip_columns():
 def test_m_multiple_roundtrip():
     f = m_multiple(F2, 3)
     assert f.arity == 12 and len(f.support) == 3
-    base, m, grouping = multiple_decompose(f)
-    assert m == 3 and base == F2
-    assert all(len(g) == 3 for g in grouping)
-    base1, m1, _ = multiple_decompose(F2)
-    assert m1 == 1 and base1 == F2
-
-
-def test_multiple_decompose_uneven_groups():
-    # one duplicated column among distinct ones: not a uniform multiple
-    f = Signature.from_strings(["11100", "10010", "10001"])
-    _, m, _ = multiple_decompose(f)
-    assert m == 1
+    assert strip_columns(f, range(5, 13)) == F2
 
 
 def test_weighted_signature():
@@ -243,14 +231,8 @@ def test_packed_operations_match_bit_vector_references(case, data):
     if not sup:
         with pytest.raises(ValueError):
             delta_factors(f)
-        with pytest.raises(ValueError):
-            multiple_decompose(f)
         return
     assert delta_factors(f) == helpers.ref_delta_factors(n, sup)
-    for g, gsup in ((f, sup), (m_multiple(f, m), helpers.ref_m_multiple(n, sup, m)[1])):
-        base, k, groups = multiple_decompose(g)
-        want_base, want_k, want_groups = helpers.ref_multiple_decompose(g.arity, gsup)
-        assert (view(base), k, groups) == (want_base, want_k, want_groups)
 
 
 @settings(max_examples=100, deadline=None)
