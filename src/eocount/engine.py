@@ -12,6 +12,7 @@ import enum
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 from .affine import _affine_basis, count_packed
 from .classes import _in_class
@@ -191,68 +192,133 @@ def _cut_order(w: _Wiring) -> tuple:
     """(vertex order, widest cut): greedily the vertex that grows the cut
     least next, ties by instance order.  Taking a vertex opens its edges to
     vertices not yet taken and closes those to vertices already taken; its
-    self-loops leave the cut unchanged."""
-    mate, owner = w.mate, w.owner
-    growth = {v: sum(owner[mate[p]] != v for p in w.slots(v))
-              for v in range(len(w.labels))}
+    self-loops leave the cut unchanged.
+
+    A heap holds (growth, vertex) entries.  Taking a vertex only lowers the
+    growth of its neighbours (by 2 per edge), and each change pushes a new
+    entry.  A vertex's newest entry is its smallest, so it pops first and
+    the older ones pop after the vertex is taken and are skipped: the
+    order costs O(|E| log |V|), and each vertex taken is the one a ``min``
+    over every remaining vertex would pick, ties by the lowest index."""
+    mate, owner, start = w.mate, w.owner, w.start
+    growth = [b - a for a, b in zip(start, start[1:])]  # the arities
+    for v, q in zip(owner, mate):
+        if owner[q] == v:
+            growth[v] -= 1  # each end of a self-loop
+    heap = [(g, v) for v, g in enumerate(growth)]
+    heapify(heap)
+    taken = [False] * len(growth)
     order, cut, widest = [], 0, 0
-    while growth:
-        v = min(growth, key=growth.__getitem__)
+    while heap:
+        g, v = heappop(heap)
+        if taken[v]:
+            continue
+        taken[v] = True
         order.append(v)
-        cut += growth.pop(v)
-        widest = max(widest, cut)
-        for p in w.slots(v):
+        cut += g
+        if cut > widest:
+            widest = cut
+        for p in range(start[v], start[v + 1]):
             u = owner[mate[p]]
-            if u in growth:
+            if not taken[u]:
                 growth[u] -= 2  # an opening edge of u becomes a closing one
+                heappush(heap, (growth[u], u))
     return order, widest
+
+
+def _instance_width(w: _Wiring) -> int:
+    """The widest cut when the vertices are taken in instance order."""
+    mate, owner, start = w.mate, w.owner, w.start
+    cut = widest = 0
+    for v in range(len(w.labels)):
+        for p in range(start[v], start[v + 1]):
+            u = owner[mate[p]]
+            cut += (u > v) - (u < v)
+        if cut > widest:
+            widest = cut
+    return widest
 
 
 def brute_force(inst: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult:
     """Exact count by contracting the vertices one at a time along a cut.
 
-    An edge is named by its lower-numbered endpoint e (see ``_Wiring``),
-    and orientation bit e is 1 when that endpoint holds the 1.  After some
-    vertices are contracted, the state maps each orientation of the cut
-    edges (exactly one endpoint contracted) to the number of orientations
-    of the edges behind the cut that every contracted label accepts.  The
-    order is greedy (see ``_cut_order``), and with w its widest cut the
-    work is at most 2^w states per vertex instead of the 2^|edges|
-    orientations.  ``cap`` bounds w, not the edge count: an order whose
-    widest cut exceeds it raises InstanceError before any table is built.
+    After some vertices are contracted, the cut holds the edges with
+    exactly one endpoint contracted, and the state maps each orientation of
+    the cut edges to the number of orientations of the edges behind the
+    cut that every contracted label accepts.  The order is greedy (see
+    ``_cut_order``).  With w its widest cut the work is at most 2^w states
+    per vertex instead of the 2^|edges| orientations.  ``cap`` bounds w,
+    not the edge count: when the greedy plan exceeds it, the vertices are
+    taken in instance order if that order's widest cut fits, and otherwise
+    InstanceError names the narrower of the two widths before any table is
+    built.
+
+    A state is an int over cut registers 0..w-1.  An edge takes a free
+    register when its first endpoint is contracted and frees it when its
+    second is, closing registers being freed before opening ones are taken,
+    so no state grows with the instance.  A register holds the bit of the
+    edge's first endpoint; the second endpoint holds its complement.  Per
+    vertex, the slots are scattered to their registers once, and each
+    self-loop keeps the label's rows whose two looped slots differ.
     """
     w = _checked(inst)
     order, widest = _cut_order(w)
     if widest > cap:
-        raise InstanceError(f"cut width {widest} exceeds brute-force cap {cap}")
-    cut = 0  # the bits of the edges with exactly one endpoint contracted
+        width = _instance_width(w)
+        if width > cap:
+            raise InstanceError(f"cut width {min(widest, width)} exceeds "
+                                f"brute-force cap {cap}")
+        order = range(len(w.labels))
+    mate, owner, start = w.mate, w.owner, w.start
+    reg = [-1] * len(mate)  # endpoint -> the register of its edge, once open
+    free: list = []  # registers freed and not yet taken again
+    top = 0  # registers top, top + 1, ... were never taken
     states = {0: 1}
     for v in order:
-        closing, opening, loops = [], [], {}
-        for k, p in enumerate(w.slots(v)):
-            q = w.mate[p]
-            e, side = (p, 0) if p < q else (q, 1)
-            if w.owner[q] == v:
-                loops.setdefault(e, []).append(k)
+        rows = w.labels[v].rows
+        closing, opening = [], []
+        first = start[v]
+        for k, p in enumerate(range(first, start[v + 1])):
+            q = mate[p]
+            if owner[q] == v:
+                if p < q:  # a self-loop joins a 1 to a 0
+                    j = q - first
+                    rows = [r for r in rows if (r >> k ^ r >> j) & 1]
+            elif reg[q] >= 0:
+                closing.append((k, reg[q]))
             else:
-                (closing if cut >> e & 1 else opening).append((k, e, side))
-        # per support row: its orientation bits on the closing edges -> its
-        # bits on the opening edges -> multiplicity (the self-loop choices)
+                opening.append((k, p))
+        mask = 0
+        for k, g in closing:
+            mask |= 1 << g
+            free.append(g)
+        for i, (k, p) in enumerate(opening):
+            if free:
+                g = free.pop()
+            else:
+                g, top = top, top + 1
+            reg[p] = g
+            opening[i] = (k, g)
+        # per support row: its bits on the closing registers -> its bits on
+        # the opening registers -> multiplicity (the self-loop choices)
         table: dict = {}
-        for r in w.labels[v].rows:
-            if any((r >> k ^ r >> j ^ 1) & 1 for k, j in loops.values()):
-                continue  # a self-loop joins a 1 to a 0
-            key = sum(((r >> k & 1) ^ side) << e for k, e, side in closing)
-            bits = sum(((r >> k & 1) ^ side) << e for k, e, side in opening)
-            hits = table.setdefault(key, {})
-            hits[bits] = hits.get(bits, 0) + 1
-        mask = sum(1 << e for _, e, _ in closing)
-        cut ^= mask | sum(1 << e for _, e, _ in opening)
+        for r in rows:
+            key = bits = 0
+            for k, g in closing:
+                key |= (~r >> k & 1) << g
+            for k, g in opening:
+                bits |= (r >> k & 1) << g
+            hits = table.get(key)
+            if hits is None:
+                table[key] = {bits: 1}
+            else:
+                hits[bits] = hits.get(bits, 0) + 1
         nxt: dict = {}
+        keep = ~mask
         for s, c in states.items():
             hits = table.get(s & mask)
             if hits:
-                rest = s & ~mask
+                rest = s & keep
                 for bits, m in hits.items():
                     t = rest | bits
                     nxt[t] = nxt.get(t, 0) + c * m

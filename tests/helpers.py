@@ -101,6 +101,28 @@ def ref_brute_force(inst: Instance) -> int:
     return total
 
 
+def ref_cut_order(w) -> tuple:
+    """(vertex order, widest cut): greedily the vertex that grows the cut
+    least next, ties by instance order.  Taking a vertex opens its edges to
+    vertices not yet taken and closes those to vertices already taken; its
+    self-loops leave the cut unchanged.  A reference for
+    ``engine._cut_order``, a ``min`` over every remaining vertex per step."""
+    mate, owner = w.mate, w.owner
+    growth = {v: sum(owner[mate[p]] != v for p in w.slots(v))
+              for v in range(len(w.labels))}
+    order, cut, widest = [], 0, 0
+    while growth:
+        v = min(growth, key=growth.__getitem__)
+        order.append(v)
+        cut += growth.pop(v)
+        widest = max(widest, cut)
+        for p in w.slots(v):
+            u = owner[mate[p]]
+            if u in growth:
+                growth[u] -= 2  # an opening edge of u becomes a closing one
+    return order, widest
+
+
 def ref_solve_affine(inst: Instance) -> int:
     """Count with one GF(2) variable per edge: every vertex contributes its
     label's ``affine_system`` constraints, with slots substituted by the
@@ -382,6 +404,55 @@ def planted_instance(rng: random.Random, pool, num_edges: int):
     rng.shuffle(zeros)
     return Instance(
         signatures=names, vertices=tuple(verts), edges=tuple(zip(ones, zeros))
+    )
+
+
+BAND = 12  # endpoints per block of a banded wiring
+
+
+def banded_instance(rng: random.Random, pool, num_vertices: int):
+    """Instance of ``num_vertices`` vertices labelled from a pool of EO
+    signatures, wired in a band so that every cut in instance order stays
+    narrow, and planted so that its count is at least 1.
+
+    The endpoints, in vertex order, are cut into blocks of ``BAND``; each
+    block is shuffled and its neighbours paired.  The edges and the slot
+    pairing 2i-1 <-> 2i are two perfect matchings of the endpoints, so
+    their union is a set of alternating cycles; walking each cycle once
+    orients every edge and gives each vertex weight arity/2.  As in
+    ``planted_instance``, a random support row per vertex reads that
+    orientation, here by permuting the label's columns, which keeps it in
+    its class."""
+    labels = [rng.choice(pool) for _ in range(num_vertices)]
+    ends = [(v, s) for v, f in enumerate(labels) for s in range(f.arity)]
+    mate = {}
+    for b in range(0, len(ends), BAND):
+        block = ends[b:b + BAND]
+        rng.shuffle(block)
+        for x, y in zip(block[::2], block[1::2]):
+            mate[x], mate[y] = y, x
+    bit: dict = {}  # (vertex, 0-based slot) -> 1 at the tail of its edge
+    for x in ends:
+        while x not in bit:
+            y = mate[x]
+            bit[x], bit[y] = 1, 0
+            x = (y[0], y[1] ^ 1)  # the slot paired with y
+    names, verts = {}, []
+    for v, f in enumerate(labels):
+        row = rng.choice(sorted(f.support))
+        ones = [i for i, b in enumerate(row) if b]
+        zeros = [i for i, b in enumerate(row) if not b]
+        rng.shuffle(ones)
+        rng.shuffle(zeros)
+        perm = [ones.pop() if bit[(v, s)] else zeros.pop()
+                for s in range(f.arity)]
+        name = names.setdefault(permute_columns(f, perm), f"s{len(names)}")
+        verts.append((f"v{v}", name))
+    edges = tuple(((f"v{a}", s + 1), (f"v{b}", t + 1))
+                  for (a, s), (b, t) in mate.items() if (a, s) < (b, t))
+    return Instance(
+        signatures={n: f for f, n in names.items()},
+        vertices=tuple(verts), edges=edges,
     )
 
 

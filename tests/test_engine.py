@@ -31,12 +31,14 @@ from eocount.hadamard import Polarity, basic_kernel, butterfly
 from eocount.signatures import DELTA0, DELTA1, bits_str, m_multiple
 
 from helpers import (
+    banded_instance,
     complemented,
     planted_instance,
     random_affine_eo,
     random_instance,
     ref_brute_force,
     ref_chain_reaction,
+    ref_cut_order,
     ref_gadget,
     ref_solve_affine,
     ref_validate,
@@ -709,7 +711,8 @@ ORACLE_POOL = CHAIN_POOL + [
     F2, G2, complement(basic_kernel(2)), SCALAR_ONE, SCALAR_ZERO, NON_EO,
     Signature(2, frozenset()),
 ]
-PLANTED_POOL = CHAIN_POOL + [complement(f) for f in CHAIN_POOL] + [F2, G2]
+MIXED_POOL = CHAIN_POOL + [complement(f) for f in CHAIN_POOL]
+PLANTED_POOL = MIXED_POOL + [F2, G2]
 
 
 @st.composite
@@ -779,6 +782,83 @@ def test_brute_force_equals_solve_on_planted_past_24_edges(edges):
         assert res.method is not Method.BRUTE
         assert res.count >= 1
         assert brute_force(inst, cap=PAST_24_CAP).count == res.count
+
+
+@pytest.mark.parametrize("num_vertices", [500, 1300])
+def test_brute_force_equals_solve_on_banded_instances(num_vertices):
+    """Banded wiring keeps the cut narrow however large the instance, so
+    the contraction reaches counts far above 2^64."""
+    rng = random.Random(num_vertices)
+    affine_pool = [NEQ2] + [random_affine_eo(rng, h) for h in (1, 2, 2, 3, 3)]
+    for pool, paths in ((CHAIN_POOL, (Method.CHAIN_D1, Method.CHAIN_D0)),
+                        (affine_pool, (Method.AFFINE, Method.AFFINE))):
+        inst = banded_instance(rng, pool, num_vertices)
+        assert 1000 <= len(inst.edges) <= 3000
+        for case, path in zip((inst, complemented(inst)), paths):
+            res = solve(case)
+            assert res.method is path
+            assert res.count > 2**64
+            assert brute_force(case).count == res.count
+
+
+def test_brute_force_falls_back_to_instance_order(monkeypatch):
+    """On this banded mixed instance the greedy plan cuts 10 edges and
+    instance order 6: a cap between them contracts in instance order, to
+    the same count, and a cap below both names the narrower width."""
+    inst = banded_instance(random.Random(5), MIXED_POOL, 1000)
+    w = engine._checked(inst)
+    assert engine._cut_order(w)[1] == 10
+    assert engine._instance_width(w) == 6
+    calls = 0
+    real = engine._instance_width
+
+    def counted(w):
+        nonlocal calls
+        calls += 1
+        return real(w)
+
+    monkeypatch.setattr(engine, "_instance_width", counted)
+    res = solve(inst)
+    assert res.method is Method.BRUTE
+    assert calls == 0  # a plan within the cap is kept
+    assert res.count > 2**64
+    assert brute_force(inst, cap=6).count == res.count
+    assert calls == 1
+    with pytest.raises(InstanceError, match="cut width 6 exceeds brute-force cap 5"):
+        brute_force(inst, cap=5)
+
+
+def test_brute_force_reuses_cut_registers():
+    # the wrap-around edge of the ring stays open for the whole contraction
+    n = 5000
+    inst = Instance(
+        {"neq": NEQ2},
+        tuple((f"v{i}", "neq") for i in range(n)),
+        tuple(((f"v{i}", 2), (f"v{(i + 1) % n}", 1)) for i in range(n)),
+    )
+    assert brute_force(inst, cap=2).count == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_instances())
+@example(pair("wide", m_multiple(NEQ2, 13),
+              tuple((("v1", i), ("v2", i)) for i in range(1, 27))))
+@example(single("d", D1D0, ((("v1", 1), ("v1", 2)),)))
+def test_cut_order_matches_greedy_reference(inst):
+    w = engine._checked(inst)
+    assert engine._cut_order(w) == ref_cut_order(w)
+
+
+def test_cut_order_matches_greedy_reference_on_planted_instances():
+    rng = random.Random(3)
+    for edges in (50, 400):
+        inst = planted_instance(rng, PLANTED_POOL, edges)
+        w = engine._checked(inst)
+        assert engine._cut_order(w) == ref_cut_order(w)
+    for n in (300, 1000):
+        inst = banded_instance(rng, MIXED_POOL, n)
+        w = engine._checked(inst)
+        assert engine._cut_order(w) == ref_cut_order(w)
 
 
 def disjoint_union(parts) -> Instance:
