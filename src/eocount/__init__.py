@@ -65,7 +65,6 @@ from .signatures import (
     complement,
     delta_factors,
     extract,
-    hat,
     is_eo,
     m_multiple,
     pin,
@@ -91,7 +90,7 @@ __all__ = [
     "instance_from_text", "instance_to_text",
     "DELTA0", "DELTA1", "NEQ2", "SCALAR_ONE", "SCALAR_ZERO",
     "Signature", "WeightedSignature", "complement",
-    "delta_factors", "extract", "hat", "is_eo",
+    "delta_factors", "extract", "is_eo",
     "m_multiple", "pin", "pin2",
     "signature_from_text", "signature_to_text", "strip_columns", "tensor",
 ]

@@ -219,7 +219,7 @@ def is_balanced_hadamard(f: Signature, polarity: Polarity = Polarity.ONE):
     """Return k if f is (a variable permutation of) the balanced Hadamard
     code of the given polarity and length 2^k, else None.
 
-    Route for ONE: restore the all-1 word (hat), complement, and demand the
+    Route for ONE: toggle the all-1 word, complement, and demand the
     result be a linear code whose 2^k columns are pairwise distinct -- that
     pins it to the code whose columns exhaust all linear functionals, i.e.
     the 0-Hadamard code.  For ZERO, the same of complement(f).

@@ -12,7 +12,7 @@ import enum
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .affine import _affine_basis, count_packed
 from .classes import _in_class
@@ -189,54 +189,47 @@ def validate(inst: Instance) -> tuple:
 
 
 def _cut_order(w: _Wiring) -> tuple:
-    """(vertex order, widest cut): greedily the vertex that grows the cut
-    least next, ties by instance order.  Taking a vertex opens its edges to
-    vertices not yet taken and closes those to vertices already taken; its
-    self-loops leave the cut unchanged.
+    """(vertex order, widest cut), frontier first: the next vertex is the
+    one that grows the cut least among the vertices not yet taken that have
+    a taken neighbour, ties by the lowest index; only when no such vertex
+    is left is the lowest-index vertex not yet taken the next.  Taking a
+    vertex opens its edges to vertices not yet taken and closes those to
+    vertices already taken; its self-loops leave the cut unchanged.  The
+    frontier empties only when a connected component is exhausted, so the
+    components are taken one at a time and the widest cut is the widest of
+    any one component.
 
-    A heap holds (growth, vertex) entries.  Taking a vertex only lowers the
-    growth of its neighbours (by 2 per edge), and each change pushes a new
-    entry.  A vertex's newest entry is its smallest, so it pops first and
-    the older ones pop after the vertex is taken and are skipped: the
-    order costs O(|E| log |V|), and each vertex taken is the one a ``min``
-    over every remaining vertex would pick, ties by the lowest index."""
+    A heap holds (growth, vertex) entries for the frontier.  Taking a
+    vertex only lowers the growth of its neighbours (by 2 per edge), and
+    each change pushes a new entry.  A vertex's newest entry is its
+    smallest, so it pops first and the older ones pop after the vertex is
+    taken and are skipped: the order costs O(|E| log |V|)."""
     mate, owner, start = w.mate, w.owner, w.start
     growth = [b - a for a, b in zip(start, start[1:])]  # the arities
     for v, q in zip(owner, mate):
         if owner[q] == v:
             growth[v] -= 1  # each end of a self-loop
-    heap = [(g, v) for v, g in enumerate(growth)]
-    heapify(heap)
     taken = [False] * len(growth)
     order, cut, widest = [], 0, 0
-    while heap:
-        g, v = heappop(heap)
-        if taken[v]:
+    for seed in range(len(growth)):
+        if taken[seed]:
             continue
-        taken[v] = True
-        order.append(v)
-        cut += g
-        if cut > widest:
-            widest = cut
-        for p in range(start[v], start[v + 1]):
-            u = owner[mate[p]]
-            if not taken[u]:
-                growth[u] -= 2  # an opening edge of u becomes a closing one
-                heappush(heap, (growth[u], u))
+        heap = [(growth[seed], seed)]
+        while heap:
+            g, v = heappop(heap)
+            if taken[v]:
+                continue
+            taken[v] = True
+            order.append(v)
+            cut += g
+            if cut > widest:
+                widest = cut
+            for p in range(start[v], start[v + 1]):
+                u = owner[mate[p]]
+                if not taken[u]:
+                    growth[u] -= 2  # an opening edge of u becomes a closing one
+                    heappush(heap, (growth[u], u))
     return order, widest
-
-
-def _instance_width(w: _Wiring) -> int:
-    """The widest cut when the vertices are taken in instance order."""
-    mate, owner, start = w.mate, w.owner, w.start
-    cut = widest = 0
-    for v in range(len(w.labels)):
-        for p in range(start[v], start[v + 1]):
-            u = owner[mate[p]]
-            cut += (u > v) - (u < v)
-        if cut > widest:
-            widest = cut
-    return widest
 
 
 def brute_force(inst: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult:
@@ -245,13 +238,11 @@ def brute_force(inst: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult:
     After some vertices are contracted, the cut holds the edges with
     exactly one endpoint contracted, and the state maps each orientation of
     the cut edges to the number of orientations of the edges behind the
-    cut that every contracted label accepts.  The order is greedy (see
-    ``_cut_order``).  With w its widest cut the work is at most 2^w states
-    per vertex instead of the 2^|edges| orientations.  ``cap`` bounds w,
-    not the edge count: when the greedy plan exceeds it, the vertices are
-    taken in instance order if that order's widest cut fits, and otherwise
-    InstanceError names the narrower of the two widths before any table is
-    built.
+    cut that every contracted label accepts.  The order grows the cut from
+    its frontier (see ``_cut_order``).  With w its widest cut the work is at
+    most 2^w states per vertex instead of the 2^|edges| orientations.
+    ``cap`` bounds w, not the edge count: a plan wider than ``cap`` raises
+    InstanceError before any table is built.
 
     A state is an int over cut registers 0..w-1.  An edge takes a free
     register when its first endpoint is contracted and frees it when its
@@ -264,11 +255,7 @@ def brute_force(inst: Instance, cap: int = DEFAULT_BRUTE_CAP) -> CountResult:
     w = _checked(inst)
     order, widest = _cut_order(w)
     if widest > cap:
-        width = _instance_width(w)
-        if width > cap:
-            raise InstanceError(f"cut width {min(widest, width)} exceeds "
-                                f"brute-force cap {cap}")
-        order = range(len(w.labels))
+        raise InstanceError(f"cut width {widest} exceeds brute-force cap {cap}")
     mate, owner, start = w.mate, w.owner, w.start
     reg = [-1] * len(mate)  # endpoint -> the register of its edge, once open
     free: list = []  # registers freed and not yet taken again

@@ -253,13 +253,6 @@ def complement(f: Signature) -> Signature:
     return Signature._packed(f.arity, frozenset(r ^ full for r in f.rows))
 
 
-def hat(f: Signature) -> Signature:
-    """Symmetric difference of the support with the all-1 vector."""
-    if f.arity < 1:
-        raise ValueError("hat undefined for arity 0")
-    return Signature._packed(f.arity, f.rows ^ {(1 << f.arity) - 1})
-
-
 def _positions(mask: int) -> list:
     """1-based indices of the set bits, ascending."""
     out = []

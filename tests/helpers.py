@@ -11,7 +11,7 @@ from eocount import CountResult, Instance, Method, Signature, complement, engine
 from eocount.affine import affine_system, count_packed, gf2_eliminate
 from eocount.errors import FormatError, InstanceError, NotAffineError
 from eocount.hadamard import Polarity
-from eocount.signatures import bits_str, column_masks, hat, is_eo, pin, pin2
+from eocount.signatures import bits_str, column_masks, is_eo, pin, pin2
 
 
 def gauss_jordan(rows, ncols: int) -> list:
@@ -102,17 +102,24 @@ def ref_brute_force(inst: Instance) -> int:
 
 
 def ref_cut_order(w) -> tuple:
-    """(vertex order, widest cut): greedily the vertex that grows the cut
-    least next, ties by instance order.  Taking a vertex opens its edges to
+    """(vertex order, widest cut), frontier first: the vertex that grows
+    the cut least among those not yet taken with a taken neighbour, ties by
+    the lowest index, or the lowest-index vertex not yet taken when no
+    vertex has a taken neighbour.  Taking a vertex opens its edges to
     vertices not yet taken and closes those to vertices already taken; its
     self-loops leave the cut unchanged.  A reference for
-    ``engine._cut_order``, a ``min`` over every remaining vertex per step."""
+    ``engine._cut_order``, a ``min`` over the frontier per step."""
     mate, owner = w.mate, w.owner
     growth = {v: sum(owner[mate[p]] != v for p in w.slots(v))
               for v in range(len(w.labels))}
+    frontier = set()
     order, cut, widest = [], 0, 0
     while growth:
-        v = min(growth, key=growth.__getitem__)
+        if frontier:
+            v = min(frontier, key=lambda u: (growth[u], u))
+            frontier.remove(v)
+        else:
+            v = min(growth)
         order.append(v)
         cut += growth.pop(v)
         widest = max(widest, cut)
@@ -120,6 +127,7 @@ def ref_cut_order(w) -> tuple:
             u = owner[mate[p]]
             if u in growth:
                 growth[u] -= 2  # an opening edge of u becomes a closing one
+                frontier.add(u)
     return order, widest
 
 
@@ -519,8 +527,9 @@ def ref_in_class(f: Signature, t: int) -> bool:
 def ref_is_balanced_hadamard(f: Signature, polarity: Polarity) -> int | None:
     """``classes.is_balanced_hadamard`` by its definition: for polarity ONE,
     f has arity n = 2^k >= 2 and n - 1 rows of weight n/2, and
-    complement(hat(f)) holds the zero word, is affine and has n distinct
-    columns; for ZERO, the same of complement(f)."""
+    f's rows with the all-1 word toggled, complemented, hold the zero word,
+    are affine and have n distinct columns; for ZERO, the same of
+    complement(f)."""
     if polarity is Polarity.ZERO:
         return ref_is_balanced_hadamard(complement(f), Polarity.ONE)
     n = f.arity
@@ -528,7 +537,7 @@ def ref_is_balanced_hadamard(f: Signature, polarity: Polarity) -> int | None:
         return None
     if any(r.bit_count() != n // 2 for r in f.rows):
         return None
-    c = complement(hat(f))
+    c = complement(Signature._packed(n, f.rows ^ {(1 << n) - 1}))
     if 0 not in c.rows or not ref_is_affine(c.rows, n):
         return None
     if len({column(c, i) for i in range(1, n + 1)}) != n:
@@ -574,10 +583,6 @@ def ref_extract(n, sup, i, b):
 
 def ref_complement(n, sup):
     return n, frozenset(tuple(1 - x for x in r) for r in sup)
-
-
-def ref_hat(n, sup):
-    return n, sup ^ {(1,) * n}
 
 
 def ref_tensor(n, sup, n2, sup2):

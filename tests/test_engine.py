@@ -33,6 +33,7 @@ from eocount.signatures import DELTA0, DELTA1, bits_str, m_multiple
 from helpers import (
     banded_instance,
     complemented,
+    permute_columns,
     planted_instance,
     random_affine_eo,
     random_instance,
@@ -801,31 +802,28 @@ def test_brute_force_equals_solve_on_banded_instances(num_vertices):
             assert brute_force(case).count == res.count
 
 
-def test_brute_force_falls_back_to_instance_order(monkeypatch):
-    """On this banded mixed instance the greedy plan cuts 10 edges and
-    instance order 6: a cap between them contracts in instance order, to
-    the same count, and a cap below both names the narrower width."""
+def test_brute_force_plans_banded_mixed_wiring_along_its_band(monkeypatch):
+    """On this banded mixed instance the frontier plan cuts 6 edges, as
+    the band does: a cap of 6 contracts it, to ``solve``'s count, and a cap
+    of 5 names that width.  Each count plans once."""
     inst = banded_instance(random.Random(5), MIXED_POOL, 1000)
-    w = engine._checked(inst)
-    assert engine._cut_order(w)[1] == 10
-    assert engine._instance_width(w) == 6
+    assert engine._cut_order(engine._checked(inst))[1] == 6
     calls = 0
-    real = engine._instance_width
+    real = engine._cut_order
 
     def counted(w):
         nonlocal calls
         calls += 1
         return real(w)
 
-    monkeypatch.setattr(engine, "_instance_width", counted)
+    monkeypatch.setattr(engine, "_cut_order", counted)
     res = solve(inst)
     assert res.method is Method.BRUTE
-    assert calls == 0  # a plan within the cap is kept
     assert res.count > 2**64
     assert brute_force(inst, cap=6).count == res.count
-    assert calls == 1
     with pytest.raises(InstanceError, match="cut width 6 exceeds brute-force cap 5"):
         brute_force(inst, cap=5)
+    assert calls == 3
 
 
 def test_brute_force_reuses_cut_registers():
@@ -844,12 +842,12 @@ def test_brute_force_reuses_cut_registers():
 @example(pair("wide", m_multiple(NEQ2, 13),
               tuple((("v1", i), ("v2", i)) for i in range(1, 27))))
 @example(single("d", D1D0, ((("v1", 1), ("v1", 2)),)))
-def test_cut_order_matches_greedy_reference(inst):
+def test_cut_order_matches_frontier_reference(inst):
     w = engine._checked(inst)
     assert engine._cut_order(w) == ref_cut_order(w)
 
 
-def test_cut_order_matches_greedy_reference_on_planted_instances():
+def test_cut_order_matches_frontier_reference_on_planted_instances():
     rng = random.Random(3)
     for edges in (50, 400):
         inst = planted_instance(rng, PLANTED_POOL, edges)
@@ -869,6 +867,24 @@ def disjoint_union(parts) -> Instance:
         verts += [(tag + v, tag + n) for v, n in part.vertices]
         edges += [((tag + va, sa), (tag + vb, sb)) for (va, sa), (vb, sb) in part.edges]
     return Instance(sigs, tuple(verts), tuple(edges))
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_cut_order_takes_one_component_at_a_time(seed):
+    """The plan of a disjoint union is as wide as its widest part, and the
+    union's count is the product of the parts' counts.  (On these unions a
+    plan that takes the least growth anywhere in the graph cuts 8 and 14
+    edges against parts of at most 6 and 10.)"""
+    rng = random.Random(seed)
+    parts = [planted_instance(rng, PLANTED_POOL, rng.randint(5, 40)),
+             banded_instance(rng, MIXED_POOL, 300),
+             planted_instance(rng, PLANTED_POOL, 20),
+             banded_instance(rng, CHAIN_POOL, 300)]
+    rng.shuffle(parts)
+    inst = disjoint_union(parts)
+    widths = [engine._cut_order(engine._checked(p))[1] for p in parts]
+    assert engine._cut_order(engine._checked(inst))[1] == max(widths)
+    assert brute_force(inst).count == math.prod(brute_force(p).count for p in parts)
 
 
 def test_solve_counts_mixed_polarity_past_24_edges():
@@ -893,11 +909,47 @@ def subdivided(inst: Instance, i: int) -> Instance:
     )
 
 
+def relabelled(inst: Instance, name: str, perm) -> Instance:
+    """Label ``name`` with its columns permuted (column j of the new label
+    is column perm[j] of the old, 0-based) and the slots of its vertices
+    moved with them: the two instances have the same orientations."""
+    slot = {p + 1: j + 1 for j, p in enumerate(perm)}  # old slot -> new slot
+    moved = {v for v, n in inst.vertices if n == name}
+
+    def move(end):
+        v, s = end
+        return (v, slot[s]) if v in moved else end
+
+    return Instance(
+        {**inst.signatures, name: permute_columns(inst.signatures[name], perm)},
+        inst.vertices, tuple((move(a), move(b)) for a, b in inst.edges),
+    )
+
+
+def assert_metamorphic_relations(rng, inst, other, path):
+    """Complementing every label, reordering the vertices, subdividing an
+    edge and permuting a label's columns with its slots keep the count of
+    ``inst``, which ``solve`` counts by ``path``; a disjoint union with
+    ``other`` multiplies it."""
+    res = solve(inst)
+    assert res.method is path and res.count >= 1
+    count = res.count
+    shuffled = list(inst.vertices)
+    rng.shuffle(shuffled)
+    assert solve(complemented(inst)).count == count
+    assert solve(Instance(inst.signatures, tuple(shuffled), inst.edges)).count == count
+    assert solve(subdivided(inst, rng.randrange(len(inst.edges)))).count == count
+    assert solve(disjoint_union([inst, other])).count == count * solve(other).count
+    name = rng.choice(sorted(n for n, f in inst.signatures.items() if f.arity > 1))
+    perm = list(range(inst.signatures[name].arity))
+    rng.shuffle(perm)
+    assert solve(relabelled(inst, name, perm)).count == count
+
+
 @pytest.mark.parametrize("path", [Method.CHAIN_D1, Method.AFFINE])
 def test_metamorphic_relations_on_planted_instances(path):
-    """Relations that need no oracle, on random-wiring instances of ~10^3
-    vertices: complementing every label, reordering the vertices and
-    subdividing an edge keep the count; a disjoint union multiplies it."""
+    """The relations of ``assert_metamorphic_relations`` on random-wiring
+    instances of ~10^3 vertices."""
     rng = random.Random(5)
     if path is Method.CHAIN_D1:
         pool, edges = CHAIN_POOL, 2500
@@ -906,13 +958,38 @@ def test_metamorphic_relations_on_planted_instances(path):
         edges = 1800
     inst = planted_instance(rng, pool, edges)
     other = planted_instance(rng, pool, edges // 10)
-    res = solve(inst)
     assert len(inst.vertices) >= 900
-    assert res.method is path and res.count >= 1
-    count = res.count
-    shuffled = list(inst.vertices)
-    rng.shuffle(shuffled)
-    assert solve(complemented(inst)).count == count
-    assert solve(Instance(inst.signatures, tuple(shuffled), inst.edges)).count == count
-    assert solve(subdivided(inst, rng.randrange(edges))).count == count
-    assert solve(disjoint_union([inst, other])).count == count * solve(other).count
+    assert_metamorphic_relations(rng, inst, other, path)
+
+
+@pytest.mark.parametrize("wiring", ["chain", "affine", "mixed"])
+def test_metamorphic_relations_on_banded_instances(wiring):
+    """The same relations on banded instances of 10^3 vertices; the mixed
+    ones are counted by ``brute_force``, whose plan stays narrow however
+    the vertices are ordered."""
+    rng = random.Random(wiring)
+    pool, path = {
+        "chain": (CHAIN_POOL, Method.CHAIN_D1),
+        "affine": ([NEQ2] + [random_affine_eo(rng, h) for h in (1, 2, 2, 3, 3)],
+                   Method.AFFINE),
+        "mixed": (MIXED_POOL, Method.BRUTE),
+    }[wiring]
+    inst = banded_instance(rng, pool, 1000)
+    other = banded_instance(rng, pool, 100)
+    assert_metamorphic_relations(rng, inst, other, path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["chain", "affine"]), st.integers(0, 2**32 - 1),
+       st.integers(50, 400))
+def test_brute_force_equals_solve_on_drawn_banded_instances(wiring, seed, n):
+    rng = random.Random(seed)
+    if wiring == "chain":
+        pool = CHAIN_POOL
+    else:
+        pool = [NEQ2] + [random_affine_eo(rng, h) for h in (1, 2, 2, 3, 3)]
+    inst = banded_instance(rng, pool, n)
+    for case in (inst, complemented(inst)):
+        res = solve(case)
+        assert res.method is not Method.BRUTE and res.count >= 1
+        assert brute_force(case).count == res.count

@@ -14,7 +14,6 @@ from eocount import (
     complement,
     delta_factors,
     extract,
-    hat,
     is_eo,
     m_multiple,
     pin,
@@ -86,12 +85,6 @@ def test_tensor_and_complement():
     assert t.support == frozenset({(1,) + r for r in G2.support})
     assert complement(F2) == G2
     assert complement(complement(F2)) == F2
-
-
-def test_hat_is_involution():
-    assert hat(hat(F2)) == F2
-    # hat toggles the all-1 row in the support
-    assert hat(F2) == Signature.from_strings(["1100", "1010", "1001", "1111"])
 
 
 def test_delta_factors():
@@ -217,7 +210,6 @@ def test_packed_operations_match_bit_vector_references(case, data):
     assert text == helpers.ref_text(n, sup)
     assert signature_from_text(text) == f
     if n:
-        assert view(hat(f)) == helpers.ref_hat(n, sup)
         i, b = data.draw(st.integers(1, n)), data.draw(st.integers(0, 1))
         assert view(pin(f, i, b)) == helpers.ref_pin(n, sup, i, b)
         assert view(extract(f, i, b)) == helpers.ref_extract(n, sup, i, b)
