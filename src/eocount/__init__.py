@@ -4,8 +4,8 @@ The package models 0-1 signatures supported on half-weight vectors,
 detects the tractable families (affine signatures and both one-sided
 delta closures), characterizes the irreducible kernels as multiples of
 balanced Hadamard codes, and counts instances by Gaussian elimination, by
-the chain reaction solver, or, when the labels mix both polarities, by an
-exact contraction along a narrow cut.
+the chain reaction solver, or, when no chain reaction reaches an affine
+residual, by an exact contraction along a narrow cut.
 """
 
 from .affine import AffineSystem, affine_system, is_affine

@@ -34,6 +34,8 @@ def _read(path: str) -> str:
 
 
 def _emit(pairs, fmt: str) -> None:
+    pairs = [(k, engine._decimal(v) if isinstance(v, int) else v)
+             for k, v in pairs]
     if fmt == "kv":
         for key, value in pairs:
             print(f"{key}={value}")

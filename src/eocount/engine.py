@@ -15,7 +15,6 @@ from functools import cached_property
 from heapq import heappop, heappush
 
 from .affine import _affine_basis, count_packed
-from .classes import _in_class
 from .errors import InstanceError
 from .signatures import (
     SCALAR_ONE,
@@ -35,7 +34,20 @@ DEFAULT_BRUTE_CAP = 24
 _UNSEEN = object()  # the dict.get default where a stored value may be None
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` for a count of any size: Python 3.11 refuses to convert an
+    int of more than 4,300 digits, so a longer one is split at about half
+    its digits and each part converted on its own."""
+    if n.bit_length() < 14000:  # at most 4,215 digits
+        return str(n)
+    half = n.bit_length() * 3 // 20  # log10(2) / 2 is about 3/20
+    high, low = divmod(n, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 class Method(enum.Enum):
+    """How a count was taken; CHAIN_Dt: by polarity t's chain reaction."""
+
     BRUTE = "brute"
     AFFINE = "affine"
     CHAIN_D1 = "chain_d1"
@@ -68,16 +80,11 @@ class CountResult:
 
 
 class _Classes:
-    """Class membership of the distinct labels of one instance, each
-    computed at most once: the affine reduction ``(base, basis)`` (None when
-    not affine), and per polarity t whether the label is affine or an EO
-    signature in the delta_t-affine class.  ``eo`` maps every label to
-    whether it is EO, as ``_compile`` found."""
+    """The affine reduction ``(base, basis)`` of each distinct label of one
+    instance (None when not affine), computed at most once."""
 
-    def __init__(self, eo: dict):
-        self._eo = eo
+    def __init__(self):
         self._reduced: dict = {}
-        self._tractable: dict = {}
 
     def reduction(self, sig: Signature):
         red = self._reduced.get(sig, _UNSEEN)
@@ -88,18 +95,10 @@ class _Classes:
     def affine(self, sig: Signature) -> bool:
         return self.reduction(sig) is not None
 
-    def tractable(self, sig: Signature, t: int) -> bool:
-        key = (sig, t)
-        ok = self._tractable.get(key)
-        if ok is None:
-            ok = self._tractable[key] = self.affine(sig) or (
-                self._eo[sig] and _in_class(sig, t))
-        return ok
-
 
 @dataclass
 class _Wiring:
-    """An instance's wiring, its validation and its label classes.
+    """An instance's wiring, its validation and its labels' affine reductions.
 
     Vertices are numbered by first appearance of their id; endpoints so
     that vertex i's slot s is ``start[i] + s - 1``.  ``mate`` maps an
@@ -172,7 +171,7 @@ def _compile(inst: Instance) -> _Wiring:
             ok = eo[sig] = is_eo(sig)
         if not ok:
             warnings.append(f"vertex {v}: label is not an EO signature")
-    return _Wiring(ids, sigs, start, mate, owner, errors, warnings, _Classes(eo))
+    return _Wiring(ids, sigs, start, mate, owner, errors, warnings, _Classes())
 
 
 def _checked(inst: Instance) -> _Wiring:
@@ -370,8 +369,10 @@ def solve_affine(inst: Instance) -> CountResult:
 def chain_reaction(
     inst: Instance, polarity: Polarity = Polarity.ONE, trace: bool = False
 ) -> CountResult:
-    """Fire forced delta slots until none is left, then count the residual,
-    which must be all-affine, by elimination.
+    """Fire forced delta slots until none is left, then count the residual
+    by elimination; a label still non-affine at the fixpoint raises
+    InstanceError.  Every step keeps the count, so a count that returns is
+    exact whatever the labels' classes, and the fixpoint is the one test.
 
     A step takes a vertex u whose label has a constant-t column, pins that
     slot to t and the other endpoint of its disequality edge to 1 - t, and
@@ -408,12 +409,6 @@ def chain_reaction(
     t = 1 if polarity is Polarity.ONE else 0
     w = _checked(inst)
     ids, start, mate, owner = w.ids, w.start, w.mate, w.owner
-    for v, f in enumerate(w.labels):
-        if not w.classes.tractable(f, t):
-            raise InstanceError(
-                f"vertex {ids[v]}: label outside the polarity-{polarity.value} "
-                "tractable class"
-            )
     method = Method.CHAIN_D1 if t == 1 else Method.CHAIN_D0
     steps: list = []
 
@@ -462,19 +457,8 @@ def chain_reaction(
             del live[v][j]
             const[v] = _folds(sig[v])
         queue.append(u)
-        if v != u:
-            if const[v][t] & ~done[v]:
-                queue.append(v)
-            elif (done[v] != (1 << len(live[v])) - 1
-                  and not w.classes.affine(sig[v])):
-                # Guarantee for the propagation step: the neighbour is
-                # annihilated, turns affine, or realizes a fresh forced slot.
-                # Done columns are constant, so they do not change the
-                # label's affinity.
-                raise InstanceError(
-                    f"vertex {ids[v]}: propagation produced a non-affine "
-                    "label with no forced slot"
-                )
+        if v != u and const[v][t] & ~done[v]:
+            queue.append(v)
 
     for v, d in enumerate(done):
         if d == (1 << len(live[v])) - 1:  # every column consumed
@@ -482,16 +466,20 @@ def chain_reaction(
         elif d:
             sig[v] = strip_columns(sig[v], _positions(d))
             live[v] = [p for k, p in enumerate(live[v]) if not d >> k & 1]
-    count = _count_affine(w, sig, live, "label still non-affine at the "
-                          "fixpoint; chain-reaction invariant broken")
-    note(f"affine residual with {sum(map(len, live)) // 2} edges: count {count}")
+    count = _count_affine(w, sig, live, "label still non-affine at the fixpoint")
+    if trace:  # formatted only when kept
+        steps.append(f"affine residual with {sum(map(len, live)) // 2} "
+                     f"edges: count {_decimal(count)}")
     return result(count)
 
 
 def solve(inst: Instance, method: str = "auto", trace: bool = False) -> CountResult:
-    """Dispatch: affine instances to Gaussian elimination, one-polarity
-    instances to the chain reaction, everything else to brute force.  Each
-    distinct label is classified once, in the instance's record."""
+    """Dispatch: all-affine instances to Gaussian elimination, then the
+    chain reaction in polarity 1 and then 0, each tried only when every
+    non-affine label has a constant-t column (the delta_t-affine class's
+    necessary condition), and the first that reaches an affine fixpoint
+    counts; everything else goes to brute force.  Each distinct label's
+    affine reduction is made once, in the instance's record."""
     errors, _ = validate(inst)
     if errors:
         raise InstanceError("; ".join(errors))
@@ -502,21 +490,26 @@ def solve(inst: Instance, method: str = "auto", trace: bool = False) -> CountRes
     if method not in ("auto", "chain"):
         raise ValueError(f"unknown method {method!r}")
     w = inst._wiring
-    labels = list(dict.fromkeys(w.labels))
-    if method == "auto" and all(w.classes.affine(s) for s in labels):
+    nonaffine = [s for s in dict.fromkeys(w.labels) if not w.classes.affine(s)]
+    if method == "auto" and not nonaffine:
         return solve_affine(inst)
     for pol in (Polarity.ONE, Polarity.ZERO):
         t = 1 if pol is Polarity.ONE else 0
-        if all(w.classes.tractable(s, t) for s in labels):
-            return chain_reaction(inst, pol, trace=trace)
+        if all(_folds(s)[t] for s in nonaffine):
+            try:
+                return chain_reaction(inst, pol, trace=trace)
+            except InstanceError:
+                pass  # non-affine at the fixpoint: the next polarity
     if method == "chain":
-        raise InstanceError("no single polarity covers all labels")
+        raise InstanceError("no polarity's chain reaction reaches an affine "
+                            "residual")
     res = brute_force(inst)
     return CountResult(
         res.count,
         res.method,
         res.steps,
-        note="no tractable method; instance mixes both delta-affine polarities",
+        note="no chain reaction reaches an affine residual; counted by brute "
+        "force",
     )
 
 

@@ -7,7 +7,7 @@ from collections import deque
 from functools import reduce
 from operator import and_, or_
 
-from eocount import CountResult, Instance, Method, Signature, complement, engine
+from eocount import CountResult, Instance, Method, Signature, classes, complement, engine
 from eocount.affine import affine_system, count_packed, gf2_eliminate
 from eocount.errors import FormatError, InstanceError, NotAffineError
 from eocount.hadamard import Polarity
@@ -163,12 +163,14 @@ def ref_chain_reaction(inst: Instance, polarity: Polarity = Polarity.ONE,
                        trace: bool = False) -> CountResult:
     """The chain reaction as it ran before steps that lose no row stopped
     building labels: every step pins the firing slot and its neighbour, and
-    ``live`` drops both endpoints.  A reference for ``chain_reaction``."""
+    ``live`` drops both endpoints.  It refuses up front a label that is
+    neither affine nor an EO signature in the polarity's class, by the
+    recursive class test.  A reference for ``chain_reaction``."""
     t = 1 if polarity is Polarity.ONE else 0
     w = engine._checked(inst)
     ids, start, mate, owner = w.ids, w.start, w.mate, w.owner
     for v, f in enumerate(w.labels):
-        if not w.classes.tractable(f, t):
+        if not (w.classes.affine(f) or is_eo(f) and classes._in_class(f, t)):
             raise InstanceError(
                 f"vertex {ids[v]}: label outside the polarity-{polarity.value} "
                 "tractable class"
@@ -216,17 +218,10 @@ def ref_chain_reaction(inst: Instance, polarity: Polarity = Polarity.ONE,
             steps.append("zero signature reached; count is 0")
             return result(0)
         queue.append(u)
-        if v != u:
-            g = sig[v]
-            if forced(g):
-                queue.append(v)
-            elif g.arity and not w.classes.affine(g):
-                raise InstanceError(
-                    f"vertex {ids[v]}: propagation produced a non-affine "
-                    "label with no forced slot"
-                )
+        if v != u and forced(sig[v]):
+            queue.append(v)
     count = engine._count_affine(w, sig, live, "label still non-affine at "
-                                 "the fixpoint; chain-reaction invariant broken")
+                                 "the fixpoint")
     steps.append(f"affine residual with {sum(map(len, live)) // 2} edges: "
                  f"count {count}")
     return result(count)

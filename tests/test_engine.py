@@ -11,6 +11,7 @@ from eocount import (
     NEQ2,
     SCALAR_ONE,
     SCALAR_ZERO,
+    CountResult,
     Instance,
     Method,
     Signature,
@@ -26,7 +27,7 @@ from eocount import canonical, canonical_form, classes, classify, engine, kernel
 from eocount import signatures
 from eocount.affine import random_affine_signature
 from eocount.engine import DEFAULT_BRUTE_CAP, gadget_demo_hardness
-from eocount.errors import InstanceError
+from eocount.errors import BudgetExceeded, InstanceError
 from eocount.hadamard import Polarity, basic_kernel, butterfly
 from eocount.signatures import DELTA0, DELTA1, bits_str, m_multiple
 
@@ -283,6 +284,20 @@ def test_chain_reaction_trace():
                          "affine residual with 1 edges: count 2")
 
 
+def test_chain_trace_prints_counts_past_the_int_to_str_digit_limit():
+    # 2^14300 has 4,305 digits; Python 3.11 refuses str() past 4,300
+    n = 14300
+    inst = Instance({"n": NEQ2}, tuple((f"v{i}", "n") for i in range(2 * n)),
+                    tuple(((f"v{i}", s), (f"v{i + 1}", 3 - s))
+                          for i in range(0, 2 * n, 2) for s in (1, 2)))
+    res = chain_reaction(inst, Polarity.ONE, trace=True)
+    assert res.count == 1 << n
+    digits = res.steps[-1].rsplit(" ", 1)[1]
+    assert len(digits) == 4305
+    assert int(digits[-40:]) == res.count % 10**40
+    assert int(digits[:40]) == res.count // 10 ** (4305 - 40)
+
+
 CHAIN_POOL = [
     basic_kernel(2),
     basic_kernel(3),
@@ -423,9 +438,8 @@ def test_chain_is_affine_calls_stay_linear(monkeypatch):
     steps = sum(s.startswith(("propagated", "self-loop")) for s in res.steps)
     assert len(inst.vertices) >= 300
     assert res.count >= 1 and steps >= len(inst.vertices)
-    # an affine test runs once per distinct label: the starting labels, a
-    # pinned neighbour left without a forced slot, and the labels at the
-    # fixpoint: 18 calls for 341 vertices and 799 steps
+    # an affine test runs once per distinct label left at the fixpoint: 2
+    # calls for 341 vertices and 799 steps
     assert calls <= len(inst.vertices) // 2
 
 
@@ -548,22 +562,69 @@ def mixed_f2_g2():
     )
 
 
-@pytest.fixture
-def unchecked(monkeypatch):
-    """Lets any label past the chain reaction's tractable precondition."""
-    monkeypatch.setattr(engine._Classes, "tractable", lambda self, sig, t: True)
+BK2 = basic_kernel(2)
+TENSOR_POOL = [tensor(BK2, BK2), tensor(tensor(BK2, BK2), BK2), NEQ2]
 
 
-def test_chain_invariant_checked_on_every_step(unchecked):
-    # G2 lies outside the delta1 class: pinning its slot 1 to 0 leaves a
-    # non-affine label without a forced slot
-    with pytest.raises(InstanceError, match="non-affine label with no forced"):
-        chain_reaction(mixed_f2_g2(), Polarity.ONE)
+def test_solve_counts_tensor_kernel_instances_in_both_polarities():
+    # a step may leave a tensor label non-affine with no forced slot that a
+    # later step, pinning another of its factors, still makes affine
+    for seed in range(8):
+        inst = planted_instance(random.Random(seed), TENSOR_POOL, 18)
+        want = brute_force(inst).count
+        assert want >= 1
+        for case, path in ((inst, Method.CHAIN_D1),
+                           (complemented(inst), Method.CHAIN_D0)):
+            res = solve(case)
+            assert (res.count, res.method) == (want, path)
 
 
-def test_chain_fixpoint_refuses_a_non_affine_residual(unchecked):
-    # G2 has no constant-1 column and NEQ2 none at all, so nothing fires,
-    # no step checks a neighbour, and G2 is left non-affine at the fixpoint
+def test_solve_counts_the_two_factor_tensor_repro():
+    inst = planted_instance(random.Random(3), [tensor(BK2, BK2), NEQ2], 14)
+    assert (len(inst.vertices), len(inst.edges)) == (5, 14)
+    assert brute_force(inst).count == ref_brute_force(inst) == 8
+    assert solve(inst) == CountResult(8, Method.CHAIN_D1)
+    assert solve(complemented(inst)) == CountResult(8, Method.CHAIN_D0)
+
+
+def test_solve_runs_no_recursive_class_test(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve ran the recursive class test")
+
+    monkeypatch.setattr(classes, "_in_class", refuse)
+    monkeypatch.setattr(classes, "_in_class_rec", refuse)
+    rng = random.Random(6)
+    chain = planted_instance(rng, CHAIN_POOL, 40)
+    affine_pool = [NEQ2] + [random_affine_eo(rng, h) for h in (2, 3)]
+    affine = planted_instance(rng, affine_pool, 30)
+    for inst, path in ((chain, Method.CHAIN_D1),
+                       (complemented(chain), Method.CHAIN_D0),
+                       (affine, Method.AFFINE), (mixed_f2_g2(), Method.BRUTE)):
+        res = solve(inst)
+        assert res.method is path
+        assert res.count == brute_force(inst).count
+
+
+def test_solve_needs_no_class_test_budget(monkeypatch):
+    # the recursive class test refuses this label past a budget of 2 memo
+    # entries; solve never runs it
+    monkeypatch.setattr(classes, "MEMO_BUDGET", 2)
+    monkeypatch.setattr(classes, "_d1_memo", {})
+    kernel = tensor(tensor(BK2, BK2), BK2)
+    inst = planted_instance(random.Random(2), [kernel, NEQ2], 20)
+    assert kernel in inst.labels().values()
+    want = brute_force(inst).count
+    assert want >= 1
+    with pytest.raises(BudgetExceeded):
+        classes.in_d1(kernel)
+    for case, path in ((inst, Method.CHAIN_D1),
+                       (complemented(inst), Method.CHAIN_D0)):
+        assert solve(case) == CountResult(want, path)
+
+
+def test_chain_fixpoint_refuses_a_non_affine_residual():
+    # G2 has no constant-1 column and NEQ2 none at all, so nothing fires
+    # and G2 is left non-affine at the fixpoint
     inst = Instance(
         signatures={"g2": G2, "neq": NEQ2},
         vertices=(("g", "g2"), ("n1", "neq"), ("n2", "neq")),

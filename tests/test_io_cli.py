@@ -16,7 +16,7 @@ from eocount import (
     instance_from_text,
     instance_to_text,
 )
-from eocount.cli import main
+from eocount.cli import _emit, main
 from eocount.errors import FormatError
 
 F2 = Signature.from_strings(["1100", "1010", "1001"])
@@ -101,6 +101,30 @@ def test_cli_verify(tmp_path):
     code, out = run_cli(["verify", str(path), "--format", "kv"])
     assert code == 0
     assert "agreement=yes" in out
+
+
+def test_cli_prints_counts_past_the_int_to_str_digit_limit(tmp_path):
+    # 2^15000 has 4,516 digits; Python 3.11 refuses str() past 4,300
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        _emit([("count", 1 << 15000)], "kv")
+        _emit([("count", 1 << 15000), ("method", "affine")], "human")
+    kv, human, method = buf.getvalue().splitlines()
+    assert kv.startswith("count=28179608") and len(kv) == len("count=") + 4516
+    assert human.split() == ["count", kv[len("count="):]]
+    assert method.split() == ["method", "affine"]
+    n = 15000  # disjoint NEQ2 two-cycles, each oriented two ways
+    path = tmp_path / "cycles.eo"
+    path.write_text(
+        "[signatures]\nneq:\n01\n10\n\n[vertices]\n"
+        + "".join(f"a{i} neq\nb{i} neq\n" for i in range(n)) + "\n[edges]\n"
+        + "".join(f"a{i}.1 b{i}.2\na{i}.2 b{i}.1\n" for i in range(n)))
+    code, out = run_cli(["solve", str(path), "--format", "kv"])
+    assert code == 0 and out.splitlines() == [kv, "method=affine"]
+    code, out = run_cli(["verify", str(path), "--format", "kv"])
+    assert code == 0
+    assert out.splitlines() == [f"affine={kv[6:]}", f"brute={kv[6:]}",
+                                "agreement=yes"]
 
 
 def test_cli_classify(tmp_path):
