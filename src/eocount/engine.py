@@ -139,6 +139,15 @@ def _compile(inst: Instance) -> _Wiring:
         start.append(len(owner))
     mate = [-1] * len(owner)
     for e, edge in enumerate(inst.edges):
+        if len(edge) == 2:  # a well-formed edge is wired in this one branch
+            (va, sa), (vb, sb) = edge
+            a, b = at.get(va), at.get(vb)
+            if a and b and 1 <= sa <= a[1] and 1 <= sb <= b[1]:
+                p, q = a[0] + sa, b[0] + sb
+                if p != q and mate[p] < 0 and mate[q] < 0:
+                    mate[p], mate[q] = q, p
+                    continue
+        # any other edge, endpoint by endpoint, reporting in order
         if len(edge) != 2:
             errors.append(f"edge {e}: expected 2 endpoints, got {len(edge)}")
         ends = []

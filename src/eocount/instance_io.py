@@ -16,29 +16,108 @@ Three sections::
 
 Signature blocks use the signature text format.  `#` starts a comment; a
 comment-only line is ignored, and only a blank line ends a signature block.
+
+Text laid out exactly as ``instance_to_text`` writes it is read by one
+compiled pattern per section (``_parse_layout``); any other text, and every
+text with an error, goes through the line loop (``_parse_lines``), the only
+code that raises ``FormatError``.  Both give the same instance.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import chain, repeat
+from operator import itemgetter
+
 from .engine import Instance
 from .errors import FormatError
-from .signatures import _signature_of, signature_to_text
+from .signatures import Signature, _signature_of, signature_to_text
+
+
+# The block heads, then the vertex lines, as instance_to_text writes them:
+# each reads back as written when no name or id in it is empty or holds
+# whitespace (re's \s is str.isspace, which takes in every line break of
+# str.splitlines) or `#`.
+_READABLE = re.compile(r"(?:[^\s#]+:\n)*(?:[^\s#]+ [^\s#]+\n)*")
 
 
 def instance_to_text(inst: Instance) -> str:
-    out = ["[signatures]"]
-    for name in sorted(inst.signatures):
-        out.append(f"{name}:")
-        out.append(signature_to_text(inst.signatures[name]).rstrip("\n"))
-        out.append("")
-    out.append("[vertices]")
-    for v, name in inst.vertices:
-        out.append(f"{v} {name}")
-    out.append("")
-    out.append("[edges]")
-    for (va, sa), (vb, sb) in inst.edges:
-        out.append(f"{va}.{sa} {vb}.{sb}")
-    return "\n".join(out) + "\n"
+    """The instance in the text format.
+
+    Raises ValueError, naming the first one in text order, on a signature
+    name, vertex id or vertex's signature name that is empty or holds
+    whitespace or `#`: the text could not be read back.  An edge endpoint
+    is written as it is; one that names no vertex leaves the instance
+    invalid whatever its text."""
+    names = sorted(inst.signatures)
+    heads = [f"{name}:\n" for name in names]
+    vertices = "".join([f"{v} {name}\n" for v, name in inst.vertices])
+    if not _READABLE.fullmatch("".join(heads) + vertices):
+        bad = next(t for t in map(str, chain(names, chain.from_iterable(inst.vertices)))
+                   if t.split() != [t] or "#" in t)
+        raise ValueError(
+            f"cannot write {bad!r}: a signature name or vertex id must be "
+            "nonempty and hold no whitespace or '#'"
+        )
+    blocks = [head + signature_to_text(inst.signatures[name]) + "\n"
+              for head, name in zip(heads, names)]
+    edges = [f"{va}.{sa} {vb}.{sb}\n" for (va, sa), (vb, sb) in inst.edges]
+    return ("[signatures]\n" + "".join(blocks) + "[vertices]\n" + vertices
+            + "\n[edges]\n" + "".join(edges))
+
+
+# The lines of instance_to_text's layout, whose names and ids hold neither
+# whitespace nor `#` (see above); a vertex id starting with `[` could make
+# its line a section header, so it is left to the line loop.
+_BLOCK = re.compile(r"^([^\s#]+):\n((?:[01]+\n)+)\n", re.M)  # name, rows
+_VERTEX = re.compile(r"^([^\s#\[][^\s#]*) ([^\s#]+)\n", re.M)
+_EDGE = re.compile(r"^([^\s#]+)\.([0-9]+) ([^\s#]+)\.([0-9]+)\n", re.M)
+
+
+def _whole_lines(pattern: re.Pattern, section: str) -> list | None:
+    """``pattern.findall(section)`` when every line of ``section``, ended by
+    its newline, is one match; None otherwise."""
+    found = pattern.findall(section)
+    if len(found) != section.count("\n") or section[-1:] not in ("", "\n"):
+        return None
+    return found
+
+
+def _parse_layout(text: str) -> Instance | None:
+    """The instance of a text laid out exactly as ``instance_to_text``
+    writes it, with no `arity N` or `-` row; None for any other text.
+
+    The text splits at its three header lines, and each section is read by
+    its pattern.  The result stands only when every line of every section
+    is matched, each block's rows have one width, no signature name repeats
+    and every vertex's signature exists.  The line loop raises nothing on
+    such a text and reads its lines the same way, so both return equal
+    instances."""
+    head, _, rest = text.partition("[vertices]\n")
+    if not head.startswith("[signatures]\n"):
+        return None
+    sig_text = head[len("[signatures]\n"):]
+    vert_text, found, edge_text = rest.partition("\n[edges]\n")
+    if not found or sig_text[-1:] not in ("", "\n"):
+        return None
+    blocks = _BLOCK.findall(sig_text)
+    signatures, lines = {}, 0
+    for name, rows in blocks:
+        rows = rows[::-1].split()  # each row reversed: variable 1 in bit 0
+        if len(set(map(len, rows))) != 1:
+            return None
+        signatures[name] = Signature._packed(
+            len(rows[0]), frozenset(map(int, rows, repeat(2))))
+        lines += len(rows) + 2  # the name line, the rows and a blank line
+    if lines != sig_text.count("\n") or len(signatures) != len(blocks):
+        return None
+    vertices = _whole_lines(_VERTEX, vert_text)
+    edges = _whole_lines(_EDGE, edge_text)
+    if (vertices is None or edges is None
+            or not signatures.keys() >= set(map(itemgetter(1), vertices))):
+        return None
+    return Instance(signatures, tuple(vertices), tuple(
+        ((va, int(sa)), (vb, int(sb))) for va, sa, vb, sb in edges))
 
 
 def _endpoint(token: str, lineno: int) -> None:
@@ -49,6 +128,13 @@ def _endpoint(token: str, lineno: int) -> None:
 
 
 def instance_from_text(text: str) -> Instance:
+    """The instance of a text in the format above; raises ``FormatError``
+    at the first line in error."""
+    return _parse_layout(text) or _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Instance:
+    """``instance_from_text`` for any text, read line by line."""
     section = None
     signatures: dict = {}
     vertices: list = []

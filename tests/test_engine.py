@@ -123,6 +123,21 @@ def test_validate_vs_reference_on_miswired_instances(rng):
         edges = tuple((end(), end()) for _ in range(rng.randint(0, 6)))
         inst = Instance(sigs, verts, edges)
         assert validate(inst) == ref_validate(inst)
+    # also edges of one and of three endpoints, and edges that join a slot
+    # to itself: the compiling pass wires these endpoint by endpoint
+    for _ in range(300):
+        verts = tuple(
+            (f"v{rng.randrange(4)}", rng.choice([*sigs, "nope"]))
+            for _ in range(rng.randint(1, 4))
+        )
+        end = lambda: (f"v{rng.randrange(5)}", rng.randint(0, 5))
+        edges = []
+        for _ in range(rng.randint(1, 6)):
+            size = rng.choice([1, 2, 3, "self"])
+            edges.append((end(),) * 2 if size == "self"
+                         else tuple(end() for _ in range(size)))
+        inst = Instance(sigs, verts, tuple(edges))
+        assert validate(inst) == ref_validate(inst)
 
 
 def test_validate_warns_on_non_eo_label():

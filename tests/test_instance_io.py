@@ -1,5 +1,6 @@
 """The instance parser against the reference parser in ``helpers``, on
-planted texts and on line mutations of them."""
+planted texts and on line mutations of them; the pattern pass against the
+line loop; and the names the writer refuses."""
 
 import random
 import re
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eocount import NEQ2, complement, instance_from_text, instance_to_text, tensor
+from eocount import (
+    NEQ2, Instance, complement, instance_from_text, instance_io, instance_to_text, tensor,
+)
 from eocount.errors import FormatError
 from eocount.hadamard import basic_kernel, butterfly
 from eocount.signatures import Signature, m_multiple, signature_from_text
 
-from helpers import planted_instance, random_affine_eo, ref_instance_from_text
+from helpers import complemented, planted_instance, random_affine_eo, ref_instance_from_text
 
 CHAIN_POOL = [
     basic_kernel(2),
@@ -59,12 +62,110 @@ def test_planted_texts_parse_as_the_reference(pool):
         assert instance_to_text(inst) == text
 
 
+def test_written_texts_take_the_pattern_pass(monkeypatch):
+    # every text instance_to_text writes of a planted instance, of 1 to 200
+    # vertices, is read without the line loop, to the reference's instance
+    def line_loop(text):
+        raise AssertionError(f"read by the line loop: {text[:200]!r}")
+
+    monkeypatch.setattr(instance_io, "_parse_lines", line_loop)
+    for pool in sorted(POOLS):
+        rng = random.Random(f"layout/{pool}")
+        sizes, edges = [], 1
+        while True:
+            inst = planted_instance(rng, POOLS[pool], edges)
+            if len(inst.vertices) > 200:
+                break
+            for case in (inst, complemented(inst)):
+                text = instance_to_text(case)
+                assert instance_from_text(text) == ref_instance_from_text(text)
+            sizes.append(len(inst.vertices))
+            edges += 1 + edges // 4
+        assert sizes[0] == 1 and sizes[-1] > 150
+
+
+def test_writer_layout():
+    inst = Instance({"n": NEQ2, "e": Signature(3), "o": Signature(0, {()})},
+                    (("u", "n"), ("c", "o")), ((("u", 1), ("u", 2)),))
+    assert instance_to_text(inst) == (
+        "[signatures]\ne:\narity 3\n\nn:\n01\n10\n\no:\n-\n\n"
+        "[vertices]\nu n\nc o\n\n[edges]\nu.1 u.2\n")
+    assert instance_to_text(Instance({}, (), ())) == "[signatures]\n[vertices]\n\n[edges]\n"
+
+
+HEAD = "[signatures]\nn:\n01\n10\n\n"
+BODY = "[vertices]\nu n\n\n[edges]\nu.1 u.2\n"
+
+
+@pytest.mark.parametrize("text", [
+    "[signatures]\n[vertices]\n\n[edges]\n",  # an empty instance
+    HEAD + "[vertices]\n\n[edges]\n",
+    HEAD + BODY.replace("u.1 u.2", "u.01 u.2"),
+    HEAD + BODY.replace("u", "v.1"),
+    # one line or character off the writer's layout
+    HEAD + "xx" + BODY,
+    HEAD[:-1] + BODY,
+    HEAD + "\n" + BODY,
+    HEAD + BODY.replace("u n\n\n", "u n\n"),
+    HEAD + BODY[:-1],
+    HEAD + "n:\n01\n\n" + BODY,
+    HEAD.replace("01", "011") + BODY,
+    HEAD.replace("10", "1") + BODY,
+    HEAD.replace("n:", "x n:") + BODY,
+    HEAD.replace("n:", "n#x:") + BODY,
+    HEAD + BODY.replace("u n", "u n#x"),
+    HEAD + BODY.replace("u.1", "u#.1"),
+    HEAD + BODY.replace("u.2", "u.2#"),
+    HEAD.replace("n:", "n]:") + BODY.replace("u", "[u").replace(" n", " n]"),
+    *(text
+      for c in "\x1c\x1f\x85\xa0\u2028\r\t"
+      for text in (HEAD + f"m{c}n:\n01\n10\n\n" + BODY,
+                   HEAD + BODY.replace("u n", f"u{c}v n"),
+                   HEAD + BODY.replace("u.1", f"u{c}v.1"))),
+    HEAD + BODY.replace("u n", "u m"),
+    HEAD + BODY.replace("u.2", "u.\u0663"),
+])
+def test_layout_lookalikes_read_as_by_the_line_loop(text):
+    # each is off the writer's layout in a way that one check of the
+    # pattern pass must catch, so it reads as the line loop reads it
+    assert outcome(instance_from_text, text) == outcome(instance_io._parse_lines, text)
+
+
+@pytest.mark.parametrize("name", ["", "a b", "x#y"])
+@pytest.mark.parametrize("where", ["signature", "vertex"])
+def test_writer_refuses_names_it_cannot_read_back(where, name):
+    sig, vid = (name, "u") if where == "signature" else ("n", name)
+    inst = Instance({sig: NEQ2}, ((vid, sig),), (((vid, 1), (vid, 2)),))
+    with pytest.raises(ValueError, match=f"^cannot write {re.escape(repr(name))}:"):
+        instance_to_text(inst)
+
+
+def test_writer_names_the_first_bad_name_in_text_order():
+    inst = Instance({"z z": NEQ2, "a": NEQ2, "b\tb": NEQ2},
+                    (("u#", "a"), ("w", "z z")), ())
+    with pytest.raises(ValueError, match=r"^cannot write 'b\\tb':"):
+        instance_to_text(inst)
+    inst = Instance({"a": NEQ2}, (("u", "a"), ("w\u2028", "a"), ("u#", "a")), ())
+    with pytest.raises(ValueError, match=r"^cannot write 'w\\u2028':"):
+        instance_to_text(inst)
+
+
+@pytest.mark.parametrize("name", ["[s", "s:", "v.1"])
+def test_odd_names_round_trip(name):
+    inst = Instance({name: NEQ2, "n": NEQ2}, ((name, "n"), ("u", name)),
+                    (((name, 1), ("u", 2)), (("u", 1), (name, 2))))
+    text = instance_to_text(inst)
+    assert instance_from_text(text) == inst == ref_instance_from_text(text)
+
+
 # -- line mutations -------------------------------------------------------------
 
 BAD_TOKENS = ["x", "v1", "12", "v1.", "v1.a", "v1.-1", "v1.+2", "v1.1_0", ".2",
-              "v1.0", "v1.99", "1.2.3", "v 1.2", "v1.\u00b2"]
+              "v1.0", "v1.99", "1.2.3", "v 1.2", "v1.\u00b2",
+              # where re's \s and \d and str.split and str.isdecimal could differ
+              "v\xa01.2", "v\x1f1.2", "v1.\u0663"]
 ROWS = ["01", "10", "0110", "1a", "012", "-", "", "arity 2", "arity 0",
-        "arity x", "arity \u00b2", "arity", "arity 2 3", "f3:", ":"]
+        "arity x", "arity \u00b2", "arity", "arity 2 3", "f3:", ":", "0\u300001"]
 
 
 @pytest.mark.parametrize("token", BAD_TOKENS)
