@@ -31,7 +31,6 @@ from .signatures import (
 from .hadamard import Polarity
 
 DEFAULT_BRUTE_CAP = 24
-_UNSEEN = object()  # the dict.get default where a stored value may be None
 
 
 def _decimal(n: int) -> str:
@@ -79,32 +78,38 @@ class CountResult:
     note: str | None = None
 
 
-class _Classes:
-    """The affine reduction ``(base, basis)`` of each distinct label of one
-    instance (None when not affine), computed at most once."""
+class _Forms(dict):
+    """The parametric form ``(base, cols, dim)`` of each label, None when it
+    is not affine: the label's support is base + the span of dim basis
+    vectors, bit i of ``cols[k]`` telling whether vector i sets slot k
+    (base is None for an empty support).  A label's form is made through
+    ``_affine_basis`` on its first lookup, so once per distinct label."""
 
-    def __init__(self):
-        self._reduced: dict = {}
-
-    def reduction(self, sig: Signature):
-        red = self._reduced.get(sig, _UNSEEN)
-        if red is _UNSEEN:
-            red = self._reduced[sig] = _affine_basis(sig)
-        return red
-
-    def affine(self, sig: Signature) -> bool:
-        return self.reduction(sig) is not None
+    def __missing__(self, sig: Signature):
+        form = _affine_basis(sig)
+        if form is not None:
+            base, basis = form
+            cols = [0] * sig.arity
+            for i, b in enumerate(basis):
+                while b:
+                    low = b & -b
+                    cols[low.bit_length() - 1] |= 1 << i
+                    b ^= low
+            form = (base, cols, len(basis))
+        self[sig] = form
+        return form
 
 
 @dataclass
 class _Wiring:
-    """An instance's wiring, its validation and its labels' affine reductions.
+    """An instance's wiring, its errors and its labels' parametric forms.
 
     Vertices are numbered by first appearance of their id; endpoints so
     that vertex i's slot s is ``start[i] + s - 1``.  ``mate`` maps an
     endpoint to the other endpoint of its edge (-1 when dangling) and
     ``owner`` to its vertex; ``ids`` names the vertices in messages.  The
-    solvers read the record only when ``errors`` is empty."""
+    solvers read the record only when ``errors`` is empty; they fill
+    ``forms`` as they meet labels."""
 
     ids: list
     labels: list
@@ -112,16 +117,17 @@ class _Wiring:
     mate: list
     owner: list
     errors: list
-    warnings: list
-    classes: _Classes
+    forms: _Forms
 
     def slots(self, v: int) -> range:
         return range(self.start[v], self.start[v + 1])
 
 
 def _compile(inst: Instance) -> _Wiring:
-    """Number the endpoints, pair them along the edges and collect what
-    ``validate`` reports, in one pass over the vertices and the edges."""
+    """Number the endpoints, pair them along the edges and collect the
+    errors ``validate`` reports, in one pass over the vertices and the
+    edges.  No label is tested here: ``validate`` makes the EO test and
+    the solvers fill the forms memo."""
     errors = []
     if len({v for v, _ in inst.vertices}) != len(inst.vertices):
         errors.append("duplicate vertex ids")
@@ -173,14 +179,7 @@ def _compile(inst: Instance) -> _Wiring:
             if q < 0:
                 i = owner[p]
                 errors.append(f"dangling slot {ids[i]}.{p - start[i] + 1}")
-    warnings, eo = [], {}  # eo: label -> is_eo, tested once per distinct label
-    for v, sig in labels.items():
-        ok = eo.get(sig)
-        if ok is None:
-            ok = eo[sig] = is_eo(sig)
-        if not ok:
-            warnings.append(f"vertex {v}: label is not an EO signature")
-    return _Wiring(ids, sigs, start, mate, owner, errors, warnings, _Classes())
+    return _Wiring(ids, sigs, start, mate, owner, errors, _Forms())
 
 
 def _checked(inst: Instance) -> _Wiring:
@@ -191,9 +190,14 @@ def _checked(inst: Instance) -> _Wiring:
 
 
 def validate(inst: Instance) -> tuple:
-    """Return (errors, warnings); an instance is solvable iff errors == []."""
+    """Return (errors, warnings); an instance is solvable iff errors == [].
+    A warning names each vertex whose label is not an EO signature, in
+    vertex order; each distinct label is tested once per call."""
     w = inst._wiring
-    return list(w.errors), list(w.warnings)
+    eo = {sig: is_eo(sig) for sig in dict.fromkeys(w.labels)}
+    warnings = [f"vertex {v}: label is not an EO signature"
+                for v, sig in zip(w.ids, w.labels) if not eo[sig]]
+    return list(w.errors), warnings
 
 
 def _cut_order(w: _Wiring) -> tuple:
@@ -332,30 +336,19 @@ def _count_affine(w: _Wiring, sig: list, live: list, refusal: str) -> int:
     basis B_v of its label's support shifted by base_v.  Each edge gives
     one row, "the two slots differ", in the unknowns of its two endpoints.
     A basis is independent, so y -> x is one-to-one and the row system has
-    exactly one solution per orientation.  Each distinct label is reduced
-    once, through the record's classes; a label that is not affine raises
+    exactly one solution per orientation.  Each label's form comes from
+    the record's memo (``_Forms``); a label that is not affine raises
     InstanceError("vertex <id>: <refusal>").
     """
-    forms: dict = {}  # label -> (base, per slot the basis vectors that set it)
     col, bit = [0] * len(w.mate), [0] * len(w.mate)  # per live endpoint
     n = 0
     for v, f in enumerate(sig):
-        form = forms.get(f)
+        form = w.forms[f]
         if form is None:
-            red = w.classes.reduction(f)
-            if red is None:
-                raise InstanceError(f"vertex {w.ids[v]}: {refusal}")
-            base, basis = red
-            if base is None:
-                return 0
-            cols = [0] * f.arity
-            for k, b in enumerate(basis):
-                while b:
-                    low = b & -b
-                    cols[low.bit_length() - 1] |= 1 << k
-                    b ^= low
-            form = forms[f] = (base, cols, len(basis))
+            raise InstanceError(f"vertex {w.ids[v]}: {refusal}")
         base, cols, dim = form
+        if base is None:
+            return 0
         for k, p in enumerate(live[v]):
             col[p] = cols[k] << n
             bit[p] = base >> k & 1
@@ -487,19 +480,17 @@ def solve(inst: Instance, method: str = "auto", trace: bool = False) -> CountRes
     chain reaction in polarity 1 and then 0, each tried only when every
     non-affine label has a constant-t column (the delta_t-affine class's
     necessary condition), and the first that reaches an affine fixpoint
-    counts; everything else goes to brute force.  Each distinct label's
-    affine reduction is made once, in the instance's record."""
-    errors, _ = validate(inst)
-    if errors:
-        raise InstanceError("; ".join(errors))
+    counts; everything else goes to brute force.  The instance is checked
+    as every solver checks it, and each distinct label's parametric form is
+    made once, in the instance's record (``_Forms``)."""
+    w = _checked(inst)
     if method == "brute":
         return brute_force(inst)
     if method == "affine":
         return solve_affine(inst)
     if method not in ("auto", "chain"):
         raise ValueError(f"unknown method {method!r}")
-    w = inst._wiring
-    nonaffine = [s for s in dict.fromkeys(w.labels) if not w.classes.affine(s)]
+    nonaffine = [s for s in dict.fromkeys(w.labels) if w.forms[s] is None]
     if method == "auto" and not nonaffine:
         return solve_affine(inst)
     for pol in (Polarity.ONE, Polarity.ZERO):

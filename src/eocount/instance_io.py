@@ -37,33 +37,51 @@ from .signatures import Signature, _signature_of, signature_to_text
 # The block heads, then the vertex lines, as instance_to_text writes them:
 # each reads back as written when no name or id in it is empty or holds
 # whitespace (re's \s is str.isspace, which takes in every line break of
-# str.splitlines) or `#`.
-_READABLE = re.compile(r"(?:[^\s#]+:\n)*(?:[^\s#]+ [^\s#]+\n)*")
+# str.splitlines) or `#`, and no vertex line both starts with `[` and ends
+# with `]`, which the reader would take for a section header.
+_READABLE = re.compile(r"(?:[^\s#]+:\n)*(?:(?!\[\S* \S*\]\n)[^\s#]+ [^\s#]+\n)*")
 
 
 def instance_to_text(inst: Instance) -> str:
     """The instance in the text format.
 
-    Raises ValueError, naming the first one in text order, on a signature
-    name, vertex id or vertex's signature name that is empty or holds
-    whitespace or `#`: the text could not be read back.  An edge endpoint
-    is written as it is; one that names no vertex leaves the instance
-    invalid whatever its text."""
-    names = sorted(inst.signatures)
-    heads = [f"{name}:\n" for name in names]
-    vertices = "".join([f"{v} {name}\n" for v, name in inst.vertices])
-    if not _READABLE.fullmatch("".join(heads) + vertices):
-        bad = next(t for t in map(str, chain(names, chain.from_iterable(inst.vertices)))
-                   if t.split() != [t] or "#" in t)
-        raise ValueError(
-            f"cannot write {bad!r}: a signature name or vertex id must be "
-            "nonempty and hold no whitespace or '#'"
-        )
+    Raises ValueError when the text could not be read back as this
+    instance: on a signature name, vertex id or vertex's signature name
+    that is not a str, or is empty or holds whitespace or `#` (naming the
+    first one in text order), and on a vertex whose id starts with `[` and
+    whose signature name ends with `]` (naming the vertex).  An edge
+    endpoint is written as it is; one that names no vertex leaves the
+    instance invalid whatever its text."""
+    try:  # joining and concatenating refuse a name or id that is not a str
+        names = sorted(inst.signatures)
+        heads = [name + ":\n" for name in names]
+        vertices = ("\n".join(map(" ".join, inst.vertices)) + "\n"
+                    if inst.vertices else "")
+    except TypeError:
+        vertices = None
+    if vertices is None or not _READABLE.fullmatch("".join(heads) + vertices):
+        raise ValueError(_unwritable(inst))
     blocks = [head + signature_to_text(inst.signatures[name]) + "\n"
               for head, name in zip(heads, names)]
     edges = [f"{va}.{sa} {vb}.{sb}\n" for (va, sa), (vb, sb) in inst.edges]
     return ("[signatures]\n" + "".join(blocks) + "[vertices]\n" + vertices
             + "\n[edges]\n" + "".join(edges))
+
+
+def _unwritable(inst: Instance) -> str:
+    """Why ``instance_to_text`` refuses ``inst``: its first name or id in
+    text order that does not read back (signature names sorted by their
+    ``str``, which is their order when they are all strings), else its
+    first vertex line that reads as a header."""
+    for t in chain(sorted(inst.signatures, key=str),
+                   chain.from_iterable(inst.vertices)):
+        if not isinstance(t, str) or t.split() != [t] or "#" in t:
+            return (f"cannot write {t!r}: a signature name or vertex id must "
+                    "be a nonempty str and hold no whitespace or '#'")
+    v, name = next((v, name) for v, name in inst.vertices
+                   if v[0] == "[" and name[-1] == "]")
+    return (f"cannot write vertex {v!r} with signature {name!r}: its line "
+            f"'{v} {name}' would read as a section header")
 
 
 # The lines of instance_to_text's layout, whose names and ids hold neither

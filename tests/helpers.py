@@ -8,7 +8,7 @@ from functools import reduce
 from operator import and_, or_
 
 from eocount import CountResult, Instance, Method, Signature, classes, complement, engine
-from eocount.affine import affine_system, count_packed, gf2_eliminate
+from eocount.affine import affine_system, count_packed, gf2_eliminate, is_affine
 from eocount.errors import FormatError, InstanceError, NotAffineError
 from eocount.hadamard import Polarity
 from eocount.signatures import bits_str, column_masks, is_eo, pin, pin2
@@ -170,7 +170,7 @@ def ref_chain_reaction(inst: Instance, polarity: Polarity = Polarity.ONE,
     w = engine._checked(inst)
     ids, start, mate, owner = w.ids, w.start, w.mate, w.owner
     for v, f in enumerate(w.labels):
-        if not (w.classes.affine(f) or is_eo(f) and classes._in_class(f, t)):
+        if not (is_affine(f) or is_eo(f) and classes._in_class(f, t)):
             raise InstanceError(
                 f"vertex {ids[v]}: label outside the polarity-{polarity.value} "
                 "tractable class"

@@ -206,8 +206,11 @@ def doubly_listed_self_loop():
 @pytest.mark.parametrize("make", [half_wired_neq2, doubly_listed_self_loop])
 @pytest.mark.parametrize(
     "solver",
-    [brute_force, solve_affine, lambda inst: chain_reaction(inst, Polarity.ONE)],
-    ids=["brute_force", "solve_affine", "chain_reaction"],
+    [brute_force, solve_affine, lambda inst: chain_reaction(inst, Polarity.ONE)]
+    + [lambda inst, m=m: solve(inst, method=m)
+       for m in ("auto", "brute", "affine", "chain")],
+    ids=["brute_force", "solve_affine", "chain_reaction", "solve-auto",
+         "solve-brute", "solve-affine", "solve-chain"],
 )
 def test_solvers_refuse_invalid_instances(solver, make):
     inst = make()
@@ -489,8 +492,9 @@ def test_affine_solve_classifies_each_label_once(monkeypatch):
     assert max(calls.values()) == 1
 
 
-def test_solve_tests_each_label_for_eo_once(monkeypatch):
-    # the compiling pass makes the EO test; classification reads its verdict
+def test_solve_makes_no_eo_test_and_validate_one_per_label(monkeypatch):
+    # no solver reads whether a label is an EO signature: only validate's
+    # warnings do, and validate tests each distinct label once per call
     calls = Counter()
     real = engine.is_eo
 
@@ -501,10 +505,16 @@ def test_solve_tests_each_label_for_eo_once(monkeypatch):
     monkeypatch.setattr(engine, "is_eo", counted)
     monkeypatch.setattr(classes, "is_eo", counted)
     chain = planted_instance(random.Random(6), CHAIN_POOL, 60)
+    rng = random.Random(11)
+    affine = planted_instance(
+        rng, [NEQ2] + [random_affine_eo(rng, h) for h in (2, 3)], 40)
     for inst, method in ((chain, Method.CHAIN_D1),
-                         (complemented(chain), Method.CHAIN_D0)):
+                         (complemented(chain), Method.CHAIN_D0),
+                         (affine, Method.AFFINE)):
         calls.clear()
         assert solve(inst).method is method
+        assert calls == {}
+        assert validate(inst) == ([], [])
         assert calls == Counter(set(inst.labels().values()))
 
 

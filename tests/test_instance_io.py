@@ -150,6 +150,42 @@ def test_writer_names_the_first_bad_name_in_text_order():
         instance_to_text(inst)
 
 
+def test_writer_refuses_a_vertex_line_that_reads_as_a_header():
+    # each token alone is legal; the pair makes the line `[u n]`
+    inst = Instance({"n]": NEQ2}, (("[u", "n]"),), ((("[u", 1), ("[u", 2)),))
+    with pytest.raises(ValueError, match=r"^cannot write vertex '\[u' with "
+                       r"signature 'n\]': its line '\[u n\]' would read as a "
+                       "section header$"):
+        instance_to_text(inst)
+    inst = Instance({"n]": NEQ2, "n": NEQ2},
+                    (("a", "n"), ("[", "n"), ("u", "n]"), ("[v", "n]"), ("[w", "n]")), ())
+    with pytest.raises(ValueError, match=r"^cannot write vertex '\[v' "):
+        instance_to_text(inst)
+    for vid, sig in (("[u", "n"), ("u", "n]"), ("[u]", "n"), ("u", "[n]")):
+        inst = Instance({sig: NEQ2}, ((vid, sig),), (((vid, 1), (vid, 2)),))
+        text = instance_to_text(inst)
+        assert instance_from_text(text) == inst == ref_instance_from_text(text)
+
+
+@pytest.mark.parametrize("inst, bad", [
+    (Instance({"n": NEQ2}, ((1, "n"),), (((1, 1), (1, 2)),)), "1"),
+    (Instance({"n": NEQ2}, (("u", "n"), ("w", 2)), ()), "2"),
+    (Instance({3: NEQ2}, (("u", 3),), ()), "3"),
+    # names that are not all strings are ordered by their str
+    (Instance({"n": NEQ2, 5: NEQ2, 40: NEQ2}, (("u", "n"),), ()), "40"),
+    # the first in text order, whether it is not a str or holds a space
+    (Instance({"n n": NEQ2}, ((6, "n n"),), ()), "'n n'"),
+    (Instance({"n": NEQ2}, (("u", "n"), (7, "n"), ("w w", "n")), ()), "7"),
+    (Instance({"n": NEQ2}, (("u v", "n"), (8, "n")), ()), "'u v'"),
+    (Instance({"n": NEQ2}, ((b"u", "n"),), ()), "b'u'"),
+])
+def test_writer_refuses_names_and_ids_that_are_not_str(inst, bad):
+    # the reader returns str, so they could not round-trip
+    with pytest.raises(ValueError, match=f"^cannot write {re.escape(bad)}: a "
+                       "signature name or vertex id must be a nonempty str"):
+        instance_to_text(inst)
+
+
 @pytest.mark.parametrize("name", ["[s", "s:", "v.1"])
 def test_odd_names_round_trip(name):
     inst = Instance({name: NEQ2, "n": NEQ2}, ((name, "n"), ("u", name)),

@@ -292,6 +292,31 @@ def test_cli_refuses_non_ascii_digits(tmp_path, capsys, argv, text, want):
     assert capsys.readouterr().err == want
 
 
+DANGLING_TEXT = """\
+[signatures]
+neq:
+01
+10
+
+[vertices]
+v1 neq
+v2 neq
+
+[edges]
+v1.1 v2.1
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_cli_refuses_an_invalid_instance_with_validate_errors(monkeypatch, capsys,
+                                                              command):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(DANGLING_TEXT))
+    assert main([command, "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dangling slot v1.2; dangling slot v2.2\n"
+
+
 def test_cli_missing_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.eo"
     assert main(["solve", str(missing)]) == 2
