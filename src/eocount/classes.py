@@ -123,15 +123,23 @@ def _filled_pins(hull: tuple, b: int) -> int:
     return span & ~spoilt
 
 
+def _open_pins(f: Signature, own: int, hull: tuple, t: int):
+    """Yield, in column order, each column outside the constant-t mask own
+    (whose pins are empty) whose pin to 1 - t the hull does not fill
+    (_filled_pins) and is not affine on f's rows (_pin_affine).  Lazy, so a
+    caller that stops early tests no further pin."""
+    for i in _positions(((1 << f.arity) - 1) & ~(own | _filled_pins(hull, 1 - t))):
+        if not _pin_affine(f.rows, i, 1 - t):
+            yield i
+
+
 def _in_class_rec(f: Signature, t: int, limit: int) -> bool:
     """f is delta_t-affine when it has a constant-t column c and, for every
     other column i, pinning i to 1 - t is affine or pin2(f, c, i, t, 1 - t)
     is again delta_t-affine.  Rows that are their whole affine hull are a
-    coset, every pin of which is affine; otherwise the pins that fill a
-    hyperplane of the hull, or are empty, are affine with no test, and the
-    others are tested on f's own rows, so a pin is built only where the
-    recursion goes on; _d1_memo holds one entry per (label, t) it
-    reaches."""
+    coset, every pin of which is affine; otherwise the recursion goes on
+    exactly at the _open_pins, so a pin is built only there; _d1_memo holds
+    one entry per (label, t) it reaches."""
     key = (f, t)
     hit = _d1_memo.get(key)
     if hit is not None:
@@ -147,14 +155,9 @@ def _in_class_rec(f: Signature, t: int, limit: int) -> bool:
     elif (hull := _hull(rows))[2] == set():
         result = True  # the rows are a coset, and every pin of a coset is affine
     else:
-        c = own & -own
-        # a constant-t column pins to no rows, which are affine
-        rest = ((1 << f.arity) - 1) & ~(own | _filled_pins(hull, 1 - t))
-        result = all(
-            _pin_affine(rows, i, 1 - t)
-            or _in_class_rec(pin2(f, c.bit_length(), i, t, 1 - t), t, limit)
-            for i in _positions(rest)
-        )
+        c = (own & -own).bit_length()
+        result = all(_in_class_rec(pin2(f, c, i, t, 1 - t), t, limit)
+                     for i in _open_pins(f, own, hull, t))
     _d1_memo[key] = result
     return result
 
@@ -180,8 +183,8 @@ def _kernel_polarity(f: Signature) -> tuple:
     not affine while every pin of h to 1 - t is.  Stripped columns are
     constant, so h is affine exactly when f is, which is when the rows are
     their whole hull; h's pins are f's rows with bit 1 - t at one of the
-    other columns, and only those that fill no hyperplane of the hull are
-    tested."""
+    other columns, so f is a kernel when _open_pins, the scan that
+    _in_class_rec recurses on, yields no column."""
     rows = f.rows
     if not rows:
         return None, 0, None
@@ -191,11 +194,9 @@ def _kernel_polarity(f: Signature) -> tuple:
     hull = _hull(rows)
     if hull[2] == set():  # the rows are a coset: f is affine
         return None, 0, None
-    t = 1 if ones else 0
-    others = ((1 << f.arity) - 1) ^ zeros ^ ones
-    others &= ~_filled_pins(hull, 1 - t)
-    if all(_pin_affine(rows, i, 1 - t) for i in _positions(others)):
-        return t, ones if t else zeros, hull
+    t, own = (1, ones) if ones else (0, zeros)
+    if next(_open_pins(f, own, hull, t), None) is None:
+        return t, own, hull
     return None, 0, None
 
 

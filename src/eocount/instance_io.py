@@ -48,22 +48,27 @@ def instance_to_text(inst: Instance) -> str:
     Raises ValueError when the text could not be read back as this
     instance: on a signature name, vertex id or vertex's signature name
     that is not a str, or is empty or holds whitespace or `#` (naming the
-    first one in text order), and on a vertex whose id starts with `[` and
-    whose signature name ends with `]` (naming the vertex).  An edge
-    endpoint is written as it is; one that names no vertex leaves the
-    instance invalid whatever its text."""
-    try:  # joining and concatenating refuse a name or id that is not a str
+    first one in text order), on a vertex whose id starts with `[` and
+    whose signature name ends with `]` (naming the vertex), and on an edge
+    endpoint whose vertex is not a str or whose slot is not an int (naming
+    the first one).  A slot ``True`` is written as 1, which reads back
+    equal.  An edge endpoint that names no vertex is written as it is; it
+    leaves the instance invalid whatever its text."""
+    # joining and concatenating refuse a name or id that is not a str, and
+    # `slot | 0` a slot that is not an int (and makes True 1)
+    try:
         names = sorted(inst.signatures)
         heads = [name + ":\n" for name in names]
         vertices = ("\n".join(map(" ".join, inst.vertices)) + "\n"
                     if inst.vertices else "")
+        edges = [f"{va + '.'}{sa | 0} {vb + '.'}{sb | 0}\n"
+                 for (va, sa), (vb, sb) in inst.edges]
     except TypeError:
         vertices = None
     if vertices is None or not _READABLE.fullmatch("".join(heads) + vertices):
         raise ValueError(_unwritable(inst))
     blocks = [head + signature_to_text(inst.signatures[name]) + "\n"
               for head, name in zip(heads, names)]
-    edges = [f"{va}.{sa} {vb}.{sb}\n" for (va, sa), (vb, sb) in inst.edges]
     return ("[signatures]\n" + "".join(blocks) + "[vertices]\n" + vertices
             + "\n[edges]\n" + "".join(edges))
 
@@ -72,16 +77,21 @@ def _unwritable(inst: Instance) -> str:
     """Why ``instance_to_text`` refuses ``inst``: its first name or id in
     text order that does not read back (signature names sorted by their
     ``str``, which is their order when they are all strings), else its
-    first vertex line that reads as a header."""
+    first vertex line that reads as a header, else its first edge endpoint
+    whose vertex is not a str or whose slot is not an int."""
     for t in chain(sorted(inst.signatures, key=str),
                    chain.from_iterable(inst.vertices)):
         if not isinstance(t, str) or t.split() != [t] or "#" in t:
             return (f"cannot write {t!r}: a signature name or vertex id must "
                     "be a nonempty str and hold no whitespace or '#'")
-    v, name = next((v, name) for v, name in inst.vertices
-                   if v[0] == "[" and name[-1] == "]")
-    return (f"cannot write vertex {v!r} with signature {name!r}: its line "
-            f"'{v} {name}' would read as a section header")
+    for v, name in inst.vertices:
+        if v[0] == "[" and name[-1] == "]":
+            return (f"cannot write vertex {v!r} with signature {name!r}: its "
+                    f"line '{v} {name}' would read as a section header")
+    end = next((v, slot) for a, b in inst.edges for v, slot in (a, b)
+               if not (isinstance(v, str) and isinstance(slot, int)))
+    return (f"cannot write edge endpoint {end!r}: its vertex must be a str and "
+            "its slot an int")
 
 
 # The lines of instance_to_text's layout, whose names and ids hold neither

@@ -225,18 +225,15 @@ def extract(f: Signature, i: int, b: int) -> Signature:
 
 
 def pin2(f: Signature, i: int, j: int, a: int, b: int) -> Signature:
-    """Pin variable i to a and variable j to b; order-independent."""
+    """Pin variable i to a and variable j to b; order-independent.  The
+    higher index is pinned first, so the lower one keeps its position."""
     if i == j:
         raise IndexError("pin2 requires two distinct variables")
     f._check_index(i)
     f._check_index(j)
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    mask, want = bi | bj, a * bi | b * bj
-    keep = ((1 << f.arity) - 1) ^ mask
-    return Signature._packed(
-        f.arity - 2,
-        frozenset(_compress((r for r in f.rows if (r & mask) == want), keep)),
-    )
+    if i < j:
+        i, j, a, b = j, i, b, a
+    return pin(pin(f, i, a), j, b)
 
 
 def tensor(f: Signature, g: Signature) -> Signature:

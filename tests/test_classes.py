@@ -302,9 +302,10 @@ def class_inputs(draw):
     """An EO signature with its columns permuted: a random EO support of
     arity <= 8, an m-multiple kernel (k <= 5, m <= 3), a wing, a balanced
     code of either polarity, a tensor with DELTA1 or DELTA0, four rows
-    beside DELTA1 and DELTA0, or a tensor of two small EO signatures."""
+    beside DELTA1 and DELTA0, or a tensor of two or three small EO
+    signatures, whose recursion runs more than one level deep."""
     kind = draw(st.sampled_from(["support", "kernel", "wing", "balanced",
-                                 "tensor", "four", "pair"]))
+                                 "tensor", "four", "pair", "triple"]))
     if kind == "support":
         half = draw(st.integers(0, 4))
         f = draw(_weight_rows(2 * half, half, 12))
@@ -331,6 +332,8 @@ def class_inputs(draw):
         pool = st.sampled_from([F2, G2, NEQ2, basic_kernel(2), butterfly(1),
                                 tensor(DELTA1, DELTA0)])
         f = tensor(draw(pool), draw(pool))
+        if kind == "triple":
+            f = tensor(f, draw(pool))
     return permute_columns(f, draw(st.permutations(range(f.arity))))
 
 

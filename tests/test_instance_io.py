@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from eocount import (
     NEQ2, Instance, complement, instance_from_text, instance_io, instance_to_text, tensor,
+    validate,
 )
 from eocount.errors import FormatError
 from eocount.hadamard import basic_kernel, butterfly
@@ -184,6 +185,34 @@ def test_writer_refuses_names_and_ids_that_are_not_str(inst, bad):
     with pytest.raises(ValueError, match=f"^cannot write {re.escape(bad)}: a "
                        "signature name or vertex id must be a nonempty str"):
         instance_to_text(inst)
+
+
+@pytest.mark.parametrize("edges, bad", [
+    # (1, 1) names no vertex, so validate refuses the instance, yet its
+    # text `1.1` would name the vertex "1"
+    ((((1, 1), ("1", 2)),), "(1, 1)"),
+    ((((None, 1), ("1", 2)),), "(None, 1)"),
+    (((("1", 1), ("1", "2")),), "('1', '2')"),
+    (((("1", 1), ("1", 2.0)),), "('1', 2.0)"),
+    # the first in text order
+    (((("1", 1), ("1", 2)), (("1", 1.5), (b"1", 2))), "('1', 1.5)"),
+])
+def test_writer_refuses_endpoints_that_are_not_a_str_and_an_int(edges, bad):
+    inst = Instance({"n": NEQ2}, (("1", "n"),), edges)
+    with pytest.raises(ValueError, match=f"^cannot write edge endpoint {re.escape(bad)}: "
+                       "its vertex must be a str and its slot an int$"):
+        instance_to_text(inst)
+    # a bad name or id comes first in text order
+    with pytest.raises(ValueError, match="^cannot write 'u v':"):
+        instance_to_text(Instance({"n": NEQ2}, (("u v", "n"),), edges))
+
+
+def test_writer_writes_slot_true_as_1():
+    inst = Instance({"n": NEQ2}, (("u", "n"),), ((("u", True), ("u", 2)),))
+    assert not any(validate(inst))
+    text = instance_to_text(inst)
+    assert text.endswith("[edges]\nu.1 u.2\n")
+    assert instance_from_text(text) == inst == ref_instance_from_text(text)
 
 
 @pytest.mark.parametrize("name", ["[s", "s:", "v.1"])
