@@ -23,38 +23,27 @@ tools (McKay and Piperno, *Practical graph isomorphism, II*):
   since the rest of that branch is the image of one already searched.
 
 ``NODE_BUDGET`` bounds the number of search nodes (forced tails included)
-of one search, and the search raises ``BudgetExceeded`` past it.
+of one search, whatever the arity, and the search raises ``BudgetExceeded``
+past it.  The last 2^16 forms are kept, and a kept form is returned without
+a search.
 """
 
 from __future__ import annotations
 
-from .errors import BudgetExceeded, SizeCapExceeded
+from functools import lru_cache
+
+from .errors import BudgetExceeded
 from .signatures import Signature, column_masks, permute_columns
 
-DEFAULT_CANON_MAX = 64
 NODE_BUDGET = 500_000
-# Size at which _cache is cleared before the next form is stored.
-CACHE_CAP = 1 << 16
-
-_cache: dict = {}
 
 
 def canonical_form(f: Signature) -> Signature:
     """Canonical representative; equal for f, g iff they differ by a variable
-    permutation.  ``DEFAULT_CANON_MAX`` caps the arity; the support may be
-    larger."""
-    if f.arity > DEFAULT_CANON_MAX:
-        raise SizeCapExceeded(
-            f"canonical_form cap {DEFAULT_CANON_MAX} exceeded (arity {f.arity})"
-        )
+    permutation."""
     if f.arity == 0 or not f.rows:
         return f
-    hit = _cache.get(f)
-    if hit is None:
-        if len(_cache) >= CACHE_CAP:
-            _cache.clear()
-        hit = _cache[f] = _canonicalize(f)
-    return hit
+    return _canonicalize(f)
 
 
 def permutation_equivalent(f: Signature, g: Signature) -> bool:
@@ -63,6 +52,7 @@ def permutation_equivalent(f: Signature, g: Signature) -> bool:
     return canonical_form(f) == canonical_form(g)
 
 
+@lru_cache(maxsize=1 << 16)
 def _canonicalize(f: Signature) -> Signature:
     # Identical columns make one class, searched once with its multiplicity:
     # swapping two of them fixes the support, so which one comes first never

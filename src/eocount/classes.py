@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .affine import _affine_rows, _coset, _hull, is_affine
 from .errors import BudgetExceeded, StructureViolation
@@ -23,14 +24,11 @@ from .signatures import (
     strip_columns,
 )
 
-# New _d1_memo entries that one top-level in_d1/in_d0 call may add: the
-# recursion scans one label's columns per entry, so this bounds its work
-# whatever the arity (a kernel of arity 192 adds 2 entries, a tensor of five
-# basic kernels of arity 4 about 100).
+# Memo entries, one per label reached, that one in_d1/in_d0 recursion may
+# make: the recursion scans one label's columns per entry, so this bounds
+# its work whatever the arity (a kernel of arity 192 makes 2 entries, a
+# tensor of five basic kernels of arity 4 about 100).
 MEMO_BUDGET = 1 << 13
-# Size at which a top-level call clears _d1_memo before it starts, so the
-# table never holds more than MEMO_CAP + MEMO_BUDGET entries.
-MEMO_CAP = 1 << 16
 
 
 class KernelKind(enum.Enum):
@@ -59,9 +57,6 @@ class ClassReport:
     kernel_info: KernelStructure | None = None
 
 
-_d1_memo: dict = {}
-
-
 def _require_eo(f: Signature) -> None:
     if not is_eo(f):
         raise ValueError("not an EO signature")
@@ -80,13 +75,12 @@ def in_d0(f: Signature) -> bool:
     return _in_class(f, 0)
 
 
+@lru_cache(maxsize=1 << 16)
 def _in_class(f: Signature, t: int) -> bool:
-    """Delta_t-affine membership of an EO signature, as one top-level call
-    with its own memo budget: _d1_memo is cleared first if it has reached
-    MEMO_CAP, and the call may add MEMO_BUDGET entries to it."""
-    if len(_d1_memo) >= MEMO_CAP:
-        _d1_memo.clear()
-    return _in_class_rec(f, t, len(_d1_memo) + MEMO_BUDGET)
+    """Delta_t-affine membership of an EO signature, by one recursion with
+    its own memo; the last 2^16 verdicts are kept, so a refusal depends on
+    the label alone."""
+    return _in_class_rec(f, t, {})
 
 
 def _pin_affine(rows, i: int, b: int) -> bool:
@@ -133,21 +127,19 @@ def _open_pins(f: Signature, own: int, hull: tuple, t: int):
             yield i
 
 
-def _in_class_rec(f: Signature, t: int, limit: int) -> bool:
+def _in_class_rec(f: Signature, t: int, memo: dict) -> bool:
     """f is delta_t-affine when it has a constant-t column c and, for every
     other column i, pinning i to 1 - t is affine or pin2(f, c, i, t, 1 - t)
     is again delta_t-affine.  Rows that are their whole affine hull are a
     coset, every pin of which is affine; otherwise the recursion goes on
-    exactly at the _open_pins, so a pin is built only there; _d1_memo holds
-    one entry per (label, t) it reaches."""
-    key = (f, t)
-    hit = _d1_memo.get(key)
+    exactly at the _open_pins, so a pin is built only there.  memo, made
+    for one top-level call, holds one entry per label it reaches, and the
+    call raises BudgetExceeded past MEMO_BUDGET entries."""
+    hit = memo.get(f)
     if hit is not None:
         return hit
-    if len(_d1_memo) >= limit:
-        raise BudgetExceeded(
-            f"in_d{t} budget of {MEMO_BUDGET} new memo entries exceeded"
-        )
+    if len(memo) >= MEMO_BUDGET:
+        raise BudgetExceeded(f"in_d{t} budget of {MEMO_BUDGET} memo entries exceeded")
     rows = f.rows
     own = _folds(f)[t] if rows else 0
     if not own:
@@ -156,9 +148,9 @@ def _in_class_rec(f: Signature, t: int, limit: int) -> bool:
         result = True  # the rows are a coset, and every pin of a coset is affine
     else:
         c = (own & -own).bit_length()
-        result = all(_in_class_rec(pin2(f, c, i, t, 1 - t), t, limit)
+        result = all(_in_class_rec(pin2(f, c, i, t, 1 - t), t, memo)
                      for i in _open_pins(f, own, hull, t))
-    _d1_memo[key] = result
+    memo[f] = result
     return result
 
 

@@ -13,6 +13,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from operator import index
 
 from .affine import _affine_basis, count_packed
 from .errors import InstanceError
@@ -145,7 +146,7 @@ def _compile(inst: Instance) -> _Wiring:
         start.append(len(owner))
     mate = [-1] * len(owner)
     for e, edge in enumerate(inst.edges):
-        if len(edge) == 2:  # a well-formed edge is wired in this one branch
+        try:  # a well-formed edge is wired in this one branch
             (va, sa), (vb, sb) = edge
             a, b = at.get(va), at.get(vb)
             if a and b and 1 <= sa <= a[1] and 1 <= sb <= b[1]:
@@ -153,11 +154,19 @@ def _compile(inst: Instance) -> _Wiring:
                 if p != q and mate[p] < 0 and mate[q] < 0:
                     mate[p], mate[q] = q, p
                     continue
+        except (TypeError, ValueError):
+            pass  # a malformed endpoint: reported below
         # any other edge, endpoint by endpoint, reporting in order
         if len(edge) != 2:
             errors.append(f"edge {e}: expected 2 endpoints, got {len(edge)}")
         ends = []
-        for v, slot in edge:
+        for end in edge:
+            try:
+                v, slot = end
+                hash(v), index(slot)  # a slot True reads as 1
+            except (TypeError, ValueError):
+                errors.append(f"edge endpoint {end!r}: not a (vertex, int slot) pair")
+                continue
             if v not in at:
                 errors.append(f"edge endpoint {v}.{slot}: unknown vertex")
                 continue

@@ -10,7 +10,7 @@ class FormatError(EOError):
 
 
 class SizeCapExceeded(EOError):
-    """A configurable size cap was exceeded."""
+    """A size cap was exceeded."""
 
 
 class NotAffineError(EOError):

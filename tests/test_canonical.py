@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eocount import Signature, canonical, canonical_form, permutation_equivalent, tensor
-from eocount.errors import BudgetExceeded, SizeCapExceeded
+from eocount.errors import BudgetExceeded
 from eocount.hadamard import Polarity, balanced_code, basic_kernel, butterfly, wings
 from eocount.signatures import DELTA0, DELTA1, m_multiple
 
@@ -78,12 +78,20 @@ def test_different_sizes_not_equivalent():
     assert not permutation_equivalent(F2, Signature.from_strings(["110", "101"]))
 
 
-def test_size_cap():
+def test_no_arity_cap():
+    # NODE_BUDGET bounds the search, not the arity: the kernels that
+    # `eocount gen kernel --k 6 --m 2` and `--m 3` emit (arity 128 and 192)
+    # and a 4-multiple of basic_kernel(5) get their forms
     wide = Signature(70, frozenset({(1,) * 70}))
-    with pytest.raises(SizeCapExceeded):
-        canonical_form(wide)
-    with pytest.raises(SizeCapExceeded):
-        canonical_form(Signature(65, frozenset({(1,) * 65})))
+    assert canonical_form(wide) == wide
+    rng = random.Random(27)
+    for f in (m_multiple(basic_kernel(6), 2), m_multiple(basic_kernel(6), 3),
+              m_multiple(basic_kernel(5), 4)):
+        want = fresh_form(f)
+        for _ in range(2):
+            perm = list(range(f.arity))
+            rng.shuffle(perm)
+            assert fresh_form(permute_columns(f, perm)) == want
 
 
 def test_cap_bounds_the_arity_not_the_support():
@@ -122,7 +130,7 @@ def supports_with_twins(draw):
 
 
 def fresh_form(f: Signature) -> Signature:
-    canonical._cache.clear()
+    canonical._canonicalize.cache_clear()
     return canonical_form(f)
 
 
@@ -143,11 +151,11 @@ def test_node_budget_is_enforced(monkeypatch):
     perm = list(range(32))
     random.Random(3).shuffle(perm)
     g = permute_columns(basic_kernel(5), perm)
-    canonical._cache.clear()
+    canonical._canonicalize.cache_clear()
     monkeypatch.setattr(canonical, "NODE_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
         canonical_form(g)
-    assert g not in canonical._cache
+    assert canonical._canonicalize.cache_info().currsize == 0
     # a search that keys its way down to every leaf takes over 2,000 nodes
     monkeypatch.setattr(canonical, "NODE_BUDGET", 1000)
     assert canonical_form(g) == fresh_form(basic_kernel(5))

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -55,7 +56,7 @@ def test_in_d1_families():
 
 
 def test_in_d1_budget_counts_memo_entries_not_arity(monkeypatch):
-    monkeypatch.setattr(classes, "_d1_memo", {})
+    classes._in_class.cache_clear()
     monkeypatch.setattr(classes, "MEMO_BUDGET", 2)
     assert in_d1(basic_kernel(6))  # arity 64, two new memo entries
     deep = tensor(tensor(basic_kernel(2), basic_kernel(2)), basic_kernel(2))
@@ -63,6 +64,24 @@ def test_in_d1_budget_counts_memo_entries_not_arity(monkeypatch):
         in_d1(deep)  # arity 12, 13 new memo entries
     with pytest.raises(BudgetExceeded, match="in_d0 budget of 2 "):
         in_d0(complement(deep))
+
+
+def test_in_d1_refusal_depends_on_the_label_alone(monkeypatch):
+    # the recursion's memo lives for one call: verdicts kept from earlier
+    # calls on the labels it reaches do not lift a refusal, while a label's
+    # own kept verdict is returned
+    classes._in_class.cache_clear()
+    deep = tensor(tensor(basic_kernel(2), basic_kernel(2)), basic_kernel(2))
+    own = signatures._folds(deep)[1]
+    c = (own & -own).bit_length()
+    children = [signatures.pin2(deep, c, i, 1, 0)
+                for i in classes._open_pins(deep, own, affine._hull(deep.rows), 1)]
+    assert len(children) == 9 and all(map(in_d1, children))
+    monkeypatch.setattr(classes, "MEMO_BUDGET", 2)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded, match="in_d1 budget of 2 "):
+            in_d1(deep)
+    assert all(map(in_d1, children))
 
 
 def test_memo_and_canonical_cache_stay_bounded(monkeypatch):
@@ -76,30 +95,21 @@ def test_memo_and_canonical_cache_stay_bounded(monkeypatch):
             rng.shuffle(perm)
             copies.append(permute_columns(f, perm))
 
-    def fresh_tables():
-        monkeypatch.setattr(classes, "_d1_memo", {})
-        monkeypatch.setattr(canonical, "_cache", {})
+    classes._in_class.cache_clear()
+    canonical._canonicalize.cache_clear()
+    want = [(classify(g), canonical_form(g)) for g in copies]
+    unbounded = (classes._in_class.cache_info().currsize,
+                 canonical._canonicalize.cache_info().currsize)
 
-    # answers, and the memo entries each copy adds to an empty memo: with a
-    # warm memo it adds no more
-    want, grows = [], []
-    for g in copies:
-        fresh_tables()
-        want.append((classify(g), canonical_form(g)))
-        grows.append(len(classes._d1_memo))
-    fresh_tables()
-    for g in copies:
-        classify(g), canonical_form(g)
-    unbounded = len(classes._d1_memo), len(canonical._cache)
-
-    fresh_tables()
-    monkeypatch.setattr(classes, "MEMO_CAP", 8)
-    monkeypatch.setattr(canonical, "CACHE_CAP", 4)
-    for g, answer, grow in zip(copies, want, grows):
+    small = (lru_cache(maxsize=8)(classes._in_class.__wrapped__),
+             lru_cache(maxsize=4)(canonical._canonicalize.__wrapped__))
+    monkeypatch.setattr(classes, "_in_class", small[0])
+    monkeypatch.setattr(canonical, "_canonicalize", small[1])
+    for g, answer in zip(copies, want):
         assert (classify(g), canonical_form(g)) == answer
-        assert len(classes._d1_memo) <= 8 + grow
-        assert len(canonical._cache) <= 4
-    assert unbounded[0] > 8 + max(grows) and unbounded[1] > 4
+        assert small[0].cache_info().currsize <= 8
+        assert small[1].cache_info().currsize <= 4
+    assert unbounded[0] > 8 and unbounded[1] > 4
 
 
 def test_in_d1_rejects_non_eo():
@@ -340,7 +350,7 @@ def class_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(class_inputs())
 def test_classes_match_the_definitions(f):
-    classes._d1_memo.clear()  # every example runs the recursion from scratch
+    classes._in_class.cache_clear()  # every example runs the recursion cold
     d1, d0 = ref_in_class(f, 1), ref_in_class(f, 0)
     k1, k0 = direct_d1_kernel(f), direct_d1_kernel(complement(f))
     assert (in_d1(f), in_d0(f)) == (d1, d0)
@@ -424,7 +434,7 @@ def test_kernel_tests_settle_every_pin_from_the_hull(monkeypatch):
         assert calls == []
     perm = list(range(32))
     rng.shuffle(perm)
-    monkeypatch.setattr(classes, "_d1_memo", {})
+    classes._in_class.cache_clear()
     rep = classify(permute_columns(basic_kernel(5), perm))
     assert rep.in_d1 and rep.is_d1_kernel and not rep.in_d0
     info = rep.kernel_info
@@ -463,7 +473,7 @@ def test_class_tests_test_no_pin_of_an_affine_label(monkeypatch):
         perm = list(range(f.arity))
         rng.shuffle(perm)
         g = permute_columns(f, perm)
-        monkeypatch.setattr(classes, "_d1_memo", {})
+        classes._in_class.cache_clear()
         rep = classify(g)
         assert calls == []
         assert rep == ClassReport(True, True, ref_in_class(g, 1), ref_in_class(g, 0),

@@ -441,6 +441,77 @@ def test_edges_need_two_endpoints():
     assert validate(inst) == ref_validate(inst)
 
 
+MALFORMED = "not a (vertex, int slot) pair"
+
+
+def test_validate_reports_malformed_endpoints():
+    # a slot that is not an int, an endpoint that is not a pair and an
+    # unhashable vertex are each reported in order, and every solver
+    # refuses them; a slot True reads as 1
+    for bad in (("1", "2"), ("1", None), ("1", 2.0), ("1", 1.5), "x", (["1"], 2)):
+        inst = Instance({"n": NEQ2}, (("1", "n"),), ((("1", 1), bad),))
+        errors = [f"edge endpoint {bad!r}: {MALFORMED}", "dangling slot 1.2"]
+        assert validate(inst) == (errors, [])
+        for method in ("auto", "affine", "chain", "brute"):
+            with pytest.raises(InstanceError, match=re.escape("; ".join(errors))):
+                solve(inst, method=method)
+    inst = Instance({"n": NEQ2}, (("1", "n"),), ((("1", 1.5), ("v", 1)),))
+    assert validate(inst)[0] == [f"edge endpoint ('1', 1.5): {MALFORMED}",
+                                 "edge endpoint v.1: unknown vertex",
+                                 "dangling slot 1.1", "dangling slot 1.2"]
+    inst = Instance({"n": NEQ2}, (("1", "n"),), ((("1", True), ("1", 2)),))
+    assert validate(inst) == ([], [])
+    assert solve(inst) == CountResult(2, Method.AFFINE)
+
+
+ATOMS = st.one_of(st.integers(-1, 3), st.booleans(), st.none(),
+                  st.sampled_from([1.0, 2.0, 1.5, math.nan]),
+                  st.sampled_from(["1", "2", "x", "12", ""]))
+ENDPOINTS = st.one_of(
+    st.tuples(st.sampled_from(["1", 2, 2.0, "v"]), st.integers(0, 3)),
+    ATOMS,
+    st.lists(st.one_of(ATOMS, st.just(["1"])), max_size=3).map(tuple),
+)
+
+
+def _well_formed(end) -> bool:
+    """A pair of a hashable vertex and an int slot, which the reference
+    validate reads."""
+    return (isinstance(end, tuple) and len(end) == 2
+            and not isinstance(end[0], list) and isinstance(end[1], int))
+
+
+# every wiring of the four slots, and edges of 0 to 3 drawn endpoints
+EDGES = st.one_of(
+    st.permutations([("1", True), ("1", 2), (2, 1), (2.0, 2)]).map(
+        lambda p: ((p[0], p[1]), (p[2], p[3]))),
+    st.lists(st.one_of(st.tuples(ENDPOINTS, ENDPOINTS),
+                       st.lists(ENDPOINTS, max_size=3).map(tuple)),
+             max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EDGES)
+@example(((("1", True), (2, 2)), ((2.0, 1), ("1", 2))))
+def test_validate_never_raises_and_solvers_refuse_exactly_its_errors(edges):
+    inst = Instance({"n": NEQ2}, (("1", "n"), (2, "n")), edges)
+    errors, warnings = validate(inst)
+    assert warnings == []
+    bad = [end for edge in edges for end in edge if not _well_formed(end)]
+    assert [m for m in errors if m.endswith(MALFORMED)] == [
+        f"edge endpoint {end!r}: {MALFORMED}" for end in bad]
+    if not bad:
+        assert validate(inst) == ref_validate(inst)
+    for solver in (solve, brute_force, solve_affine, chain_reaction):
+        if errors:
+            with pytest.raises(InstanceError) as err:
+                solver(inst)
+            assert str(err.value) == "; ".join(errors)
+        else:
+            assert solver(inst).count == ref_brute_force(inst)
+
+
 def test_chain_is_affine_calls_stay_linear(monkeypatch):
     calls = 0
     real = engine._affine_basis  # the engine's one affine test
@@ -533,8 +604,8 @@ def test_solvers_and_classifiers_never_build_the_tuple_view(monkeypatch):
         return view.fget(self)
 
     monkeypatch.setattr(Signature, "support", property(counted))
-    monkeypatch.setattr(classes, "_d1_memo", {})
-    monkeypatch.setattr(canonical, "_cache", {})
+    classes._in_class.cache_clear()
+    canonical._canonicalize.cache_clear()
     assert solve(chain).method is Method.CHAIN_D1
     assert solve(complemented(chain)).method is Method.CHAIN_D0
     assert solve(affine).method is Method.AFFINE
@@ -634,7 +705,7 @@ def test_solve_needs_no_class_test_budget(monkeypatch):
     # the recursive class test refuses this label past a budget of 2 memo
     # entries; solve never runs it
     monkeypatch.setattr(classes, "MEMO_BUDGET", 2)
-    monkeypatch.setattr(classes, "_d1_memo", {})
+    classes._in_class.cache_clear()
     kernel = tensor(tensor(BK2, BK2), BK2)
     inst = planted_instance(random.Random(2), [kernel, NEQ2], 20)
     assert kernel in inst.labels().values()
