@@ -15,18 +15,20 @@ from .signatures import Signature, column_masks, is_eo
 
 def _pivots(rows, rank: int = -1) -> dict:
     """Echelon basis of the span of packed rows: a dict from the position of
-    each basis row's lowest set bit (``bit_length``, so bit i has key i+1) to
-    the row.  An incoming row is reduced by the row that owns its lowest bit
-    until that bit is new (or the row vanishes), so the dict's size is the
-    rank.  Keys are small ints, so a lookup costs the same however wide the
-    rows are.  Reading stops as soon as the dict holds ``rank`` rows."""
+    each basis row's highest set bit (``bit_length``, so bit i has key i+1)
+    to the row.  An incoming row is reduced by the row that owns its highest
+    bit until that bit is new (or the row vanishes), so the dict's size is
+    the rank.  ``bit_length`` reads the int's top digit and builds no new
+    int, and keys are small ints, so finding a pivot costs the same however
+    wide the rows are.  Reading stops as soon as the dict holds ``rank``
+    rows."""
     pivots: dict = {}
     for r in rows:
         while r:
-            low = (r & -r).bit_length()
-            p = pivots.get(low)
+            top = r.bit_length()
+            p = pivots.get(top)
             if p is None:
-                pivots[low] = r
+                pivots[top] = r
                 if len(pivots) == rank:
                     return pivots
                 break
@@ -54,7 +56,7 @@ def _hull(rows) -> tuple:
     rows."""
     base = next(iter(rows))
     top = (2 * len(rows)).bit_length() - 1
-    basis = tuple(_pivots((r ^ base for r in rows), top).values())
+    basis = tuple(_pivots(map(base.__xor__, rows), top).values())
     points = _coset(base, basis)
     missing = set(points).difference(rows)
     if len(points) - len(missing) != len(rows):
@@ -67,9 +69,21 @@ def gf2_eliminate(rows: list, ncols: int) -> list:
 
     Pivots are chosen at the lowest column index, so the result is canonical
     for a given row space.  Rows sort by pivot column; a row with no bit
-    among the ``ncols`` columns has no pivot and is dropped.
+    among the ``ncols`` columns has no pivot and is dropped.  The echelon
+    basis is keyed on each row's lowest set bit, which the back-substitution
+    needs, so this keeps its own loop: ``_pivots`` keys on the highest bit
+    and gives another basis of the same span.  The benchmark's label
+    generator (``bench/planted.random_affine_eo``) reads this exact form.
     """
-    pivots = _pivots(rows)
+    pivots: dict = {}
+    for r in rows:
+        while r:
+            low = (r & -r).bit_length()
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = r
+                break
+            r ^= p
     reduced: dict = {}  # filled from the highest pivot down
     for low in sorted((low for low in pivots if low <= ncols), reverse=True):
         r = pivots[low]
@@ -128,7 +142,7 @@ def _affine_rows(rows):
     if s & (s - 1):
         return None
     base = next(iter(rows))
-    basis = tuple(_pivots(r ^ base for r in rows).values())
+    basis = tuple(_pivots(map(base.__xor__, rows)).values())
     return (base, basis) if s == 1 << len(basis) else None
 
 
@@ -157,9 +171,15 @@ def affine_system(f: Signature) -> AffineSystem:
 
 
 def count_packed(rows: list, n: int) -> int:
-    """Solutions of packed (n+1)-bit rows over n variables; 0 if inconsistent."""
+    """Solutions of packed (n+1)-bit rows over n variables; 0 if inconsistent.
+
+    A row holds its constant at bit 0 and variable i at bit i: x is a
+    solution iff every row has even overlap with x << 1 | 1.  The constant
+    sits below every variable, so a row reduces to exactly 1 ("0 = 1") only
+    when the system is inconsistent, and ``_pivots`` then holds key 1.
+    """
     pivots = _pivots(rows)
-    if n + 1 in pivots:  # the row space holds 0 = 1
+    if 1 in pivots:  # the row space holds 0 = 1
         return 0
     return 1 << (n - len(pivots))
 

@@ -130,14 +130,32 @@ def _compile(inst: Instance) -> _Wiring:
     edges.  No label is tested here: ``validate`` makes the EO test and
     the solvers fill the forms memo."""
     errors = []
-    if len({v for v, _ in inst.vertices}) != len(inst.vertices):
-        errors.append("duplicate vertex ids")
-    labels = {}
-    for v, name in inst.vertices:
-        if name not in inst.signatures:
-            errors.append(f"vertex {v}: unknown signature {name!r}")
-        else:
-            labels[v] = inst.signatures[name]
+    try:  # well-formed vertex entries take this one pass
+        if len({v for v, _ in inst.vertices}) != len(inst.vertices):
+            errors.append("duplicate vertex ids")
+        labels = {}
+        for v, name in inst.vertices:
+            if name not in inst.signatures:
+                errors.append(f"vertex {v}: unknown signature {name!r}")
+            else:
+                labels[v] = inst.signatures[name]
+    except (TypeError, ValueError):  # a malformed entry: each one in turn
+        errors, labels, seen = [], {}, []
+        for entry in inst.vertices:
+            try:
+                v, name = entry
+                hash(v), hash(name)
+            except (TypeError, ValueError):
+                errors.append(f"vertex entry {entry!r}: not a (vertex id, "
+                              "signature name) pair")
+                continue
+            seen.append(v)
+            if name not in inst.signatures:
+                errors.append(f"vertex {v}: unknown signature {name!r}")
+            else:
+                labels[v] = inst.signatures[name]
+        if len(set(seen)) != len(seen):
+            errors.insert(0, "duplicate vertex ids")
     ids, sigs = list(labels), list(labels.values())
     at, start, owner = {}, [0], []  # at[id] = (b, arity): slot s is endpoint b + s
     for i, (v, f) in enumerate(labels.items()):
@@ -348,9 +366,14 @@ def _count_affine(w: _Wiring, sig: list, live: list, refusal: str) -> int:
     exactly one solution per orientation.  Each label's form comes from
     the record's memo (``_Forms``); a label that is not affine raises
     InstanceError("vertex <id>: <refusal>").
+
+    Rows are laid out for ``count_packed``: the constant at bit 0 and the
+    unknowns from bit 1 up.  Each live endpoint is packed once as one word,
+    its column of the basis shifted to its vertex's unknowns, over its bit
+    of base_v at bit 0, so an edge's row is the XOR of its two words and 1.
     """
-    col, bit = [0] * len(w.mate), [0] * len(w.mate)  # per live endpoint
-    n = 0
+    word = [0] * len(w.mate)  # per live endpoint
+    n = 1  # bit 0 holds the row constant
     for v, f in enumerate(sig):
         form = w.forms[f]
         if form is None:
@@ -359,13 +382,12 @@ def _count_affine(w: _Wiring, sig: list, live: list, refusal: str) -> int:
         if base is None:
             return 0
         for k, p in enumerate(live[v]):
-            col[p] = cols[k] << n
-            bit[p] = base >> k & 1
+            word[p] = cols[k] << n | base >> k & 1
         n += dim
     mate = w.mate
-    rows = [col[p] ^ col[mate[p]] | (1 ^ bit[p] ^ bit[mate[p]]) << n
+    rows = [word[p] ^ word[mate[p]] ^ 1
             for ends in live for p in ends if p < mate[p]]  # each edge once
-    return count_packed(rows, n)
+    return count_packed(rows, n - 1)
 
 
 def solve_affine(inst: Instance) -> CountResult:

@@ -155,7 +155,7 @@ def ref_solve_affine(inst: Instance) -> int:
                     e, side = ep[(v, slot)]
                     packed ^= 1 << e
                     const ^= side  # second endpoint holds the complement
-            rows.append(packed | (const << ne))
+            rows.append(packed << 1 | const)
     return count_packed(rows, ne)
 
 

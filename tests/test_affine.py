@@ -138,7 +138,7 @@ def test_affine_system_rejects_non_affine():
 
 def test_count_packed_inconsistent():
     # 0 = 1 alone
-    assert count_packed([1 << 2], 2) == 0
+    assert count_packed([1], 2) == 0
     assert count_packed([], 2) == 4
 
 
@@ -160,14 +160,41 @@ def test_gf2_eliminate_matches_gauss_jordan(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_width_and_rows(10, 1))  # the constant term sits at bit n
+@given(_width_and_rows(10, 1))  # the constant term sits at bit 0
 def test_count_packed_matches_enumeration(case):
     n, rows = case
     want = sum(
-        all(((x | 1 << n) & r).bit_count() % 2 == 0 for r in rows)
+        all(((x << 1 | 1) & r).bit_count() % 2 == 0 for r in rows)
         for x in range(1 << n)
     )
     assert count_packed(rows, n) == want
+
+
+@st.composite
+def _wide_systems(draw):
+    """(n, rows) with n <= 192 variables, the constant at bit 0: random
+    rows, then XORs of some of them, each with its constant flipped or not.
+    A flipped XOR puts 0 = 1 in the row space, so some systems are
+    inconsistent on purpose."""
+    n = draw(st.integers(0, 192))
+    rows = draw(st.lists(st.integers(0, (2 << n) - 1), max_size=24))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        pick = draw(st.integers(1, (1 << len(rows)) - 1))
+        combo = 0
+        for i, r in enumerate(rows):
+            if pick >> i & 1:
+                combo ^= r
+        rows.append(combo ^ draw(st.integers(0, 1)))
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_systems())
+def test_count_packed_matches_rank_reference_on_wide_rows(case):
+    n, rows = case
+    rank = len(gauss_jordan([r >> 1 for r in rows], n))
+    augmented = len(gauss_jordan(rows, n + 1))
+    assert count_packed(rows, n) == (1 << n - rank if augmented == rank else 0)
 
 
 def test_pairwise_opposite_simple():

@@ -462,6 +462,21 @@ def test_validate_reports_malformed_endpoints():
     inst = Instance({"n": NEQ2}, (("1", "n"),), ((("1", True), ("1", 2)),))
     assert validate(inst) == ([], [])
     assert solve(inst) == CountResult(2, Method.AFFINE)
+    # an unhashable id or name, an entry of three and an entry that is not
+    # a pair are reported as errors too, in order, after a duplicate id
+    for bad in ((["1"], "n"), ("1", ["n"]), ("1", "n", "x"), "1"):
+        inst = Instance({"n": NEQ2}, (bad,), ())
+        errors = [f"vertex entry {bad!r}: not a (vertex id, signature name) pair"]
+        assert validate(inst) == (errors, [])
+        for method in ("auto", "affine", "chain", "brute"):
+            with pytest.raises(InstanceError, match=re.escape("; ".join(errors))):
+                solve(inst, method=method)
+    inst = Instance({"n": NEQ2}, (("1", "n"), "1", ("1", "m")),
+                    ((("1", 1), ("1", 2)),))
+    assert validate(inst)[0] == [
+        "duplicate vertex ids",
+        "vertex entry '1': not a (vertex id, signature name) pair",
+        "vertex 1: unknown signature 'm'"]
 
 
 ATOMS = st.one_of(st.integers(-1, 3), st.booleans(), st.none(),
