@@ -94,25 +94,14 @@ def gf2_eliminate(rows: list, ncols: int) -> list:
     return list(reversed(reduced.values()))
 
 
-def gf2_nullspace(rows: list, ncols: int) -> list:
-    """Basis of {x : r·x = 0 for every r}, int-packed."""
-    ech = gf2_eliminate(rows, ncols)
-    basis = []
-    for c in range(ncols):
-        free = 1 << c
-        if not any(r & -r == free for r in ech):
-            basis.append(free | sum(r & -r for r in ech if r & free))
-    return basis
-
-
 @dataclass(frozen=True)
 class AffineSystem:
     """An affine solution set over GF(2) on ``num_vars`` variables, packed:
     the ``offset`` vector plus the span of ``basis``, or ``offset`` None for
     the empty set.
 
-    ``constraints`` holds rows of n+1 bits, the constant at bit n: x is a
-    solution iff every row has even overlap with x | 1 << n.
+    ``constraints`` holds rows in ``count_packed``'s layout, the constant at
+    bit 0 and variable i at bit i; the empty set's one row is 1, "0 = 1".
     """
 
     num_vars: int
@@ -120,22 +109,13 @@ class AffineSystem:
     basis: tuple
     constraints: tuple
 
-    @property
-    def is_empty(self) -> bool:
-        return self.offset is None
-
-
-def _affine_basis(f: Signature):
-    """(base, basis) with the support equal to base + span(basis), the basis
-    independent; (None, ()) for the empty support; None when the support is
-    not an affine subspace."""
-    return _affine_rows(f.rows)
-
 
 def _affine_rows(rows):
-    """``_affine_basis`` of any sized collection of distinct packed rows:
-    s rows are affine exactly when s is a power of two and their
-    differences from one of them have rank log2(s)."""
+    """(base, basis) with the distinct packed rows (any sized collection)
+    equal to base + span(basis), the basis independent; (None, ()) for no
+    rows; None when they are not an affine subspace.  s rows are affine
+    exactly when s is a power of two and their differences from one of
+    them have rank log2(s)."""
     s = len(rows)
     if s == 0:
         return None, ()
@@ -148,35 +128,41 @@ def _affine_rows(rows):
 
 def is_affine(f: Signature) -> bool:
     """True iff the support is an affine subspace (empty included)."""
-    return _affine_basis(f) is not None
+    return _affine_rows(f.rows) is not None
 
 
 def affine_system(f: Signature) -> AffineSystem:
     """Offset/basis/constraints view of an affine signature's support;
-    NotAffineError when the support is not an affine subspace."""
+    NotAffineError when the support is not an affine subspace.  The basis
+    is reduced, so each row alone sets its lowest bit, its lead; a column c
+    that leads no row gives one constraint, variable c plus the leads of
+    the rows that set c, with the parity the offset reads on it."""
     n = f.arity
     rows = f.rows
     if not rows:
-        # inconsistent system: the single row 0...0|1
-        return AffineSystem(n, None, (), (1 << n,))
+        return AffineSystem(n, None, (), (1,))
     base = min(rows)
     basis = gf2_eliminate([r ^ base for r in rows], n)
     # the support lies in base + span(basis), equal to it iff same size
     if len(rows) != 1 << len(basis):
         raise NotAffineError("signature is not affine")
-    constraints = tuple(
-        a | ((a & base).bit_count() & 1) << n for a in gf2_nullspace(basis, n)
-    )
-    return AffineSystem(n, base, tuple(basis), constraints)
+    leads = {r & -r: r for r in basis}
+    constraints = []
+    for c in range(n):
+        if 1 << c not in leads:
+            a = 1 << c | sum(low for low, r in leads.items() if r >> c & 1)
+            constraints.append(a << 1 | (a & base).bit_count() & 1)
+    return AffineSystem(n, base, tuple(basis), tuple(constraints))
 
 
 def count_packed(rows: list, n: int) -> int:
     """Solutions of packed (n+1)-bit rows over n variables; 0 if inconsistent.
 
-    A row holds its constant at bit 0 and variable i at bit i: x is a
-    solution iff every row has even overlap with x << 1 | 1.  The constant
-    sits below every variable, so a row reduces to exactly 1 ("0 = 1") only
-    when the system is inconsistent, and ``_pivots`` then holds key 1.
+    A row holds its constant at bit 0 and variable i at bit i, the layout
+    of ``affine_system``'s constraints: x is a solution iff every row has
+    even overlap with x << 1 | 1.  The constant sits below every variable,
+    so a row reduces to exactly 1 ("0 = 1") only when the system is
+    inconsistent, and ``_pivots`` then holds key 1.
     """
     pivots = _pivots(rows)
     if 1 in pivots:  # the row space holds 0 = 1

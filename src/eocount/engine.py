@@ -15,7 +15,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from operator import index
 
-from .affine import _affine_basis, count_packed
+from .affine import _affine_rows, count_packed
 from .errors import InstanceError
 from .signatures import (
     SCALAR_ONE,
@@ -83,11 +83,12 @@ class _Forms(dict):
     """The parametric form ``(base, cols, dim)`` of each label, None when it
     is not affine: the label's support is base + the span of dim basis
     vectors, bit i of ``cols[k]`` telling whether vector i sets slot k
-    (base is None for an empty support).  A label's form is made through
-    ``_affine_basis`` on its first lookup, so once per distinct label."""
+    (base is None for an empty support).  A label's form is made from
+    ``_affine_rows`` of its rows on its first lookup, so once per distinct
+    label."""
 
     def __missing__(self, sig: Signature):
-        form = _affine_basis(sig)
+        form = _affine_rows(sig.rows)
         if form is not None:
             base, basis = form
             cols = [0] * sig.arity
@@ -175,6 +176,11 @@ def _compile(inst: Instance) -> _Wiring:
         except (TypeError, ValueError):
             pass  # a malformed endpoint: reported below
         # any other edge, endpoint by endpoint, reporting in order
+        try:
+            edge = tuple(edge)
+        except TypeError:
+            errors.append(f"edge {e}: not a pair of endpoints: {edge!r}")
+            continue
         if len(edge) != 2:
             errors.append(f"edge {e}: expected 2 endpoints, got {len(edge)}")
         ends = []

@@ -8,8 +8,8 @@ from functools import reduce
 from operator import and_, or_
 
 from eocount import CountResult, Instance, Method, Signature, classes, complement, engine
-from eocount.affine import affine_system, count_packed, gf2_eliminate, is_affine
-from eocount.errors import FormatError, InstanceError, NotAffineError
+from eocount.affine import gf2_eliminate, is_affine
+from eocount.errors import FormatError, InstanceError
 from eocount.hadamard import Polarity
 from eocount.signatures import bits_str, column_masks, is_eo, pin, pin2
 
@@ -47,6 +47,9 @@ def ref_validate(inst: Instance) -> tuple:
             labels[v] = inst.signatures[name]
     wired = dict.fromkeys(labels, 0)  # vertex -> its wired slots, bit s - 1
     for e, edge in enumerate(inst.edges):
+        if not isinstance(edge, (tuple, list)):
+            errors.append(f"edge {e}: not a pair of endpoints: {edge!r}")
+            continue
         if len(edge) != 2:
             errors.append(f"edge {e}: expected 2 endpoints, got {len(edge)}")
         for v, slot in edge:
@@ -131,32 +134,71 @@ def ref_cut_order(w) -> tuple:
     return order, widest
 
 
+def _parity_checks(sig: Signature):
+    """(mask, constant) pairs that cut out a nonempty affine support: x is
+    in it iff mask·x = constant for every pair.  The support's differences
+    from its least row are reduced by ``gauss_jordan``; each column that
+    leads no reduced row gives one check, that column plus the leading
+    columns of the rows that set it.  None when the support is not
+    affine."""
+    rows = sorted(sig.rows)
+    base = rows[0]
+    reduced = gauss_jordan([r ^ base for r in rows], sig.arity)
+    if len(rows) != 1 << len(reduced):
+        return None
+    lead = {(r & -r).bit_length() - 1: r for r in reduced}
+    checks = []
+    for c in range(sig.arity):
+        if c not in lead:
+            mask = 1 << c | sum(1 << j for j, r in lead.items() if r >> c & 1)
+            checks.append((mask, (mask & base).bit_count() & 1))
+    return checks
+
+
+def _count_solutions(equations, nvars: int) -> int:
+    """Solutions over nvars GF(2) variables of the equations (mask,
+    constant), mask·y = constant, by elimination on the lowest variable of
+    each: 0 when one reduces to 0 = 1, else 2^(nvars - rank)."""
+    pivots: dict = {}  # lowest variable -> its equation
+    for mask, const in equations:
+        while mask:
+            low = mask & -mask
+            if low not in pivots:
+                pivots[low] = mask, const
+                break
+            p_mask, p_const = pivots[low]
+            mask, const = mask ^ p_mask, const ^ p_const
+        if not mask and const:
+            return 0
+    return 1 << (nvars - len(pivots))
+
+
 def ref_solve_affine(inst: Instance) -> int:
     """Count with one GF(2) variable per edge: every vertex contributes its
-    label's ``affine_system`` constraints, with slots substituted by the
-    edge variable or its complement.  A reference for ``solve_affine``."""
+    label's parity checks (``_parity_checks``), with slots substituted by
+    the edge variable or its complement, and ``_count_solutions`` counts
+    the system.  A reference for ``solve_affine`` that shares no GF(2)
+    code with it."""
     ne = len(inst.edges)
     ep = _endpoint_map(inst)
-    systems: dict = {}
-    rows = []
+    checks: dict = {}
+    equations = []
     for v, sig in inst.labels().items():
-        sys = systems.get(sig)
-        if sys is None:
-            try:
-                sys = systems[sig] = affine_system(sig)
-            except NotAffineError:
-                raise InstanceError(f"vertex {v}: label is not affine") from None
-        if sys.is_empty:
+        if not sig.rows:
             return 0
-        for crow in sys.constraints:
-            packed, const = 0, crow >> sig.arity
-            for slot in range(1, sig.arity + 1):
-                if crow >> (slot - 1) & 1:
-                    e, side = ep[(v, slot)]
+        if sig not in checks:
+            checks[sig] = _parity_checks(sig)
+        if checks[sig] is None:
+            raise InstanceError(f"vertex {v}: label is not affine")
+        for mask, const in checks[sig]:
+            packed = 0
+            for k in range(sig.arity):
+                if mask >> k & 1:
+                    e, side = ep[(v, k + 1)]
                     packed ^= 1 << e
                     const ^= side  # second endpoint holds the complement
-            rows.append(packed << 1 | const)
-    return count_packed(rows, ne)
+            equations.append((packed, const))
+    return _count_solutions(equations, ne)
 
 
 def ref_chain_reaction(inst: Instance, polarity: Polarity = Polarity.ONE,

@@ -23,7 +23,7 @@ from eocount import (
     tensor,
     validate,
 )
-from eocount import canonical, canonical_form, classes, classify, engine, kernel_structure
+from eocount import affine, canonical, canonical_form, classes, classify, engine, kernel_structure
 from eocount import signatures
 from eocount.affine import random_affine_signature
 from eocount.engine import DEFAULT_BRUTE_CAP, gadget_demo_hardness
@@ -462,6 +462,20 @@ def test_validate_reports_malformed_endpoints():
     inst = Instance({"n": NEQ2}, (("1", "n"),), ((("1", True), ("1", 2)),))
     assert validate(inst) == ([], [])
     assert solve(inst) == CountResult(2, Method.AFFINE)
+    # an edge entry that is not a sequence of endpoints is reported in place
+    for edges, errors in (
+        ((5,), ["edge 0: not a pair of endpoints: 5",
+                "dangling slot 1.1", "dangling slot 1.2"]),
+        ((None,), ["edge 0: not a pair of endpoints: None",
+                   "dangling slot 1.1", "dangling slot 1.2"]),
+        (((("1", 1), ("1", 2)), 7), ["edge 1: not a pair of endpoints: 7"]),
+    ):
+        inst = Instance({"n": NEQ2}, (("1", "n"),), edges)
+        assert validate(inst) == (errors, [])
+        for solver in (solve, brute_force, solve_affine, chain_reaction):
+            with pytest.raises(InstanceError) as err:
+                solver(inst)
+            assert str(err.value) == "; ".join(errors)
     # an unhashable id or name, an entry of three and an entry that is not
     # a pair are reported as errors too, in order, after a duplicate id
     for bad in ((["1"], "n"), ("1", ["n"]), ("1", "n", "x"), "1"):
@@ -496,12 +510,16 @@ def _well_formed(end) -> bool:
             and not isinstance(end[0], list) and isinstance(end[1], int))
 
 
+# entries that are no sequence of endpoints at all
+NON_SEQUENCES = st.one_of(st.integers(-1, 3), st.booleans(), st.none(),
+                          st.sampled_from([1.5, math.nan]))
 # every wiring of the four slots, and edges of 0 to 3 drawn endpoints
 EDGES = st.one_of(
     st.permutations([("1", True), ("1", 2), (2, 1), (2.0, 2)]).map(
         lambda p: ((p[0], p[1]), (p[2], p[3]))),
     st.lists(st.one_of(st.tuples(ENDPOINTS, ENDPOINTS),
-                       st.lists(ENDPOINTS, max_size=3).map(tuple)),
+                       st.lists(ENDPOINTS, max_size=3).map(tuple),
+                       NON_SEQUENCES),
              max_size=3).map(tuple),
 )
 
@@ -513,7 +531,8 @@ def test_validate_never_raises_and_solvers_refuse_exactly_its_errors(edges):
     inst = Instance({"n": NEQ2}, (("1", "n"), (2, "n")), edges)
     errors, warnings = validate(inst)
     assert warnings == []
-    bad = [end for edge in edges for end in edge if not _well_formed(end)]
+    bad = [end for edge in edges if isinstance(edge, tuple)
+           for end in edge if not _well_formed(end)]
     assert [m for m in errors if m.endswith(MALFORMED)] == [
         f"edge endpoint {end!r}: {MALFORMED}" for end in bad]
     if not bad:
@@ -529,14 +548,14 @@ def test_validate_never_raises_and_solvers_refuse_exactly_its_errors(edges):
 
 def test_chain_is_affine_calls_stay_linear(monkeypatch):
     calls = 0
-    real = engine._affine_basis  # the engine's one affine test
+    real = engine._Forms.__missing__  # the engine's one affine test
 
-    def counted(sig):
+    def counted(forms, sig):
         nonlocal calls
         calls += 1
-        return real(sig)
+        return real(forms, sig)
 
-    monkeypatch.setattr(engine, "_affine_basis", counted)
+    monkeypatch.setattr(engine._Forms, "__missing__", counted)
     inst = planted_instance(random.Random(7), CHAIN_POOL, 800)
     res = chain_reaction(inst, Polarity.ONE, trace=True)
     steps = sum(s.startswith(("propagated", "self-loop")) for s in res.steps)
@@ -550,13 +569,13 @@ def test_chain_is_affine_calls_stay_linear(monkeypatch):
 def test_affine_solve_classifies_each_label_once(monkeypatch):
     # classification and counting share one affine reduction per label
     calls = Counter()
-    real = engine._affine_basis
+    real = engine._Forms.__missing__
 
-    def counted(sig):
+    def counted(forms, sig):
         calls[sig] += 1
-        return real(sig)
+        return real(forms, sig)
 
-    monkeypatch.setattr(engine, "_affine_basis", counted)
+    monkeypatch.setattr(engine._Forms, "__missing__", counted)
     rng = random.Random(11)
     pool = [NEQ2] + [random_affine_eo(rng, h) for h in (2, 2, 3, 3)]
     inst = planted_instance(rng, pool, 60)
@@ -875,6 +894,25 @@ def test_solve_affine_matches_constraint_form_on_planted_instances():
             res = solve(case)
             assert res.method is Method.AFFINE
             assert res.count == ref_solve_affine(case) >= 1
+
+
+def test_ref_solve_affine_runs_none_of_the_solvers_elimination(monkeypatch):
+    # a fault in the solver's GF(2) code must not show in the reference
+    # too; the instance is built first, since random_affine_eo reduces its
+    # labels with gf2_eliminate
+    rng = random.Random(5)
+    pool = [NEQ2] + [random_affine_eo(rng, h) for h in (1, 2, 2, 3, 3)]
+    cases = (planted_instance(rng, pool, 1500),)
+    cases += (complemented(cases[0]),)
+    want = [ref_solve_affine(case) for case in cases]
+
+    def refuse(*args):
+        raise AssertionError("the reference ran the solver's elimination")
+
+    monkeypatch.setattr(affine, "_pivots", refuse)
+    monkeypatch.setattr(affine, "gf2_eliminate", refuse)
+    assert [ref_solve_affine(case) for case in cases] == want
+    assert min(want) >= 1
 
 
 # -- brute_force against the 2^|edges| enumeration ----------------------------
