@@ -5,7 +5,9 @@ support matrix read column-major.  Column-major reading makes the objective a
 prefix order over column prefixes, so a greedy search that keeps exactly the
 minimal-key candidates at each depth is exact.  A column's key counts its
 ones in each block of rows that the chosen prefix does not yet tell apart;
-choosing a column splits the blocks.
+choosing a column splits the blocks.  A key is a list of these per-block
+popcounts (lists order as tuples do), and each search node builds the keys
+of all remaining columns in one pass.
 
 Highly symmetric supports (Hadamard codes, butterflies) produce huge tie
 fans, which the search cuts in the style of individualization-refinement
@@ -72,10 +74,6 @@ def _canonicalize(f: Signature) -> Signature:
     auts: list = []
     nodes = [0]
 
-    def key_of(c: int, blocks) -> tuple:
-        col = cols[c]
-        return tuple((col & m).bit_count() for m in blocks)
-
     def split(c: int, blocks):
         col = cols[c]
         out = []
@@ -120,18 +118,19 @@ def _canonicalize(f: Signature) -> Signature:
         nodes[0] += 1
         if nodes[0] > NODE_BUDGET:
             raise BudgetExceeded("canonical_form search budget exceeded")
+        keyed = [([(col & m).bit_count() for m in blocks], c)
+                 for c, col in enumerate(cols) if left[c]]
         if len(blocks) == nrows:
             # Every row stands alone: splits change nothing, so the keys are
             # fixed and equal keys mean identical columns.  The rest of the
             # order is the remaining classes sorted by key.
-            tail = sorted((key_of(c, blocks), c) for c in range(k) if left[c])
+            keyed.sort()
             return leaf(
-                path + [c for _, c in tail for _ in range(left[c])],
-                seq + [kc for kc, c in tail for _ in range(left[c])],
+                path + [c for _, c in keyed for _ in range(left[c])],
+                seq + [kc for kc, c in keyed for _ in range(left[c])],
             )
         d = len(path)
-        keyed = [(key_of(c, blocks), c) for c in range(k) if left[c]]
-        kmin = min(kc for kc, _ in keyed)
+        kmin = min(keyed)[0]
         # Compare against the live best each node; best can improve inside an
         # earlier sibling's subtree, so a sticky equal/less flag would stop
         # pruning exactly when it matters.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter, deque
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -131,18 +132,33 @@ def _compile(inst: Instance) -> _Wiring:
     edges.  No label is tested here: ``validate`` makes the EO test and
     the solvers fill the forms memo."""
     errors = []
+    # a field of the wrong kind is reported once and read as empty
+    signatures, vertices, edges = inst.signatures, inst.vertices, inst.edges
+    if not isinstance(signatures, Mapping):
+        errors.append("signatures: not a mapping of names to signatures "
+                      f"(got {type(signatures).__name__})")
+        signatures = {}
+    if not isinstance(vertices, Iterable):
+        errors.append("vertices: not a collection of (vertex id, signature "
+                      f"name) pairs (got {type(vertices).__name__})")
+        vertices = ()
+    if not isinstance(edges, Iterable):
+        errors.append(f"edges: not a collection of edges (got {type(edges).__name__})")
+        edges = ()
+    field_errors = len(errors)
     try:  # well-formed vertex entries take this one pass
-        if len({v for v, _ in inst.vertices}) != len(inst.vertices):
+        if len({v for v, _ in vertices}) != len(vertices):
             errors.append("duplicate vertex ids")
         labels = {}
-        for v, name in inst.vertices:
-            if name not in inst.signatures:
+        for v, name in vertices:
+            if name not in signatures:
                 errors.append(f"vertex {v}: unknown signature {name!r}")
             else:
-                labels[v] = inst.signatures[name]
+                labels[v] = signatures[name]
     except (TypeError, ValueError):  # a malformed entry: each one in turn
-        errors, labels, seen = [], {}, []
-        for entry in inst.vertices:
+        del errors[field_errors:]
+        labels, seen = {}, []
+        for entry in vertices:
             try:
                 v, name = entry
                 hash(v), hash(name)
@@ -151,12 +167,12 @@ def _compile(inst: Instance) -> _Wiring:
                               "signature name) pair")
                 continue
             seen.append(v)
-            if name not in inst.signatures:
+            if name not in signatures:
                 errors.append(f"vertex {v}: unknown signature {name!r}")
             else:
-                labels[v] = inst.signatures[name]
+                labels[v] = signatures[name]
         if len(set(seen)) != len(seen):
-            errors.insert(0, "duplicate vertex ids")
+            errors.insert(field_errors, "duplicate vertex ids")
     ids, sigs = list(labels), list(labels.values())
     at, start, owner = {}, [0], []  # at[id] = (b, arity): slot s is endpoint b + s
     for i, (v, f) in enumerate(labels.items()):
@@ -164,7 +180,7 @@ def _compile(inst: Instance) -> _Wiring:
         owner += [i] * f.arity
         start.append(len(owner))
     mate = [-1] * len(owner)
-    for e, edge in enumerate(inst.edges):
+    for e, edge in enumerate(edges):
         try:  # a well-formed edge is wired in this one branch
             (va, sa), (vb, sb) = edge
             a, b = at.get(va), at.get(vb)

@@ -159,3 +159,19 @@ def test_node_budget_is_enforced(monkeypatch):
     # a search that keys its way down to every leaf takes over 2,000 nodes
     monkeypatch.setattr(canonical, "NODE_BUDGET", 1000)
     assert canonical_form(g) == fresh_form(basic_kernel(5))
+
+
+@pytest.mark.parametrize("k, nodes", [(4, 21), (5, 48)])
+def test_search_tree_size_is_pinned(monkeypatch, k, nodes):
+    # the search on one column permutation of basic_kernel(k) completes in
+    # exactly ``nodes`` nodes, forced tails included: a change to how a
+    # node keys or prunes its columns that moves the tree fails here
+    perm = list(range(1 << k))
+    random.Random(3).shuffle(perm)
+    g = permute_columns(basic_kernel(k), perm)
+    monkeypatch.setattr(canonical, "NODE_BUDGET", nodes - 1)
+    canonical._canonicalize.cache_clear()
+    with pytest.raises(BudgetExceeded):
+        canonical_form(g)
+    monkeypatch.setattr(canonical, "NODE_BUDGET", nodes)
+    assert fresh_form(g) == ref_canonical(g)

@@ -462,15 +462,30 @@ def test_validate_reports_malformed_endpoints():
     inst = Instance({"n": NEQ2}, (("1", "n"),), ((("1", True), ("1", 2)),))
     assert validate(inst) == ([], [])
     assert solve(inst) == CountResult(2, Method.AFFINE)
-    # an edge entry that is not a sequence of endpoints is reported in place
-    for edges, errors in (
-        ((5,), ["edge 0: not a pair of endpoints: 5",
-                "dangling slot 1.1", "dangling slot 1.2"]),
-        ((None,), ["edge 0: not a pair of endpoints: None",
-                   "dangling slot 1.1", "dangling slot 1.2"]),
-        (((("1", 1), ("1", 2)), 7), ["edge 1: not a pair of endpoints: 7"]),
+    # an edge entry that is not a sequence of endpoints is reported in place;
+    # a field that is not a mapping or cannot be iterated is reported once
+    # and read as empty
+    unknown = ["edge endpoint 1.1: unknown vertex", "edge endpoint 1.2: unknown vertex"]
+    for (sigs, vertices, edges), errors in (
+        (({"n": NEQ2}, (("1", "n"),), (5,)),
+         ["edge 0: not a pair of endpoints: 5",
+          "dangling slot 1.1", "dangling slot 1.2"]),
+        (({"n": NEQ2}, (("1", "n"),), (None,)),
+         ["edge 0: not a pair of endpoints: None",
+          "dangling slot 1.1", "dangling slot 1.2"]),
+        (({"n": NEQ2}, (("1", "n"),), ((("1", 1), ("1", 2)), 7)),
+         ["edge 1: not a pair of endpoints: 7"]),
+        (({"n": NEQ2}, (("1", "n"),), 5),
+         ["edges: not a collection of edges (got int)",
+          "dangling slot 1.1", "dangling slot 1.2"]),
+        (({"n": NEQ2}, None, ((("1", 1), ("1", 2)),)),
+         ["vertices: not a collection of (vertex id, signature name) pairs "
+          "(got NoneType)", *unknown]),
+        ((None, (("1", "n"),), ((("1", 1), ("1", 2)),)),
+         ["signatures: not a mapping of names to signatures (got NoneType)",
+          "vertex 1: unknown signature 'n'", *unknown]),
     ):
-        inst = Instance({"n": NEQ2}, (("1", "n"),), edges)
+        inst = Instance(sigs, vertices, edges)
         assert validate(inst) == (errors, [])
         for solver in (solve, brute_force, solve_affine, chain_reaction):
             with pytest.raises(InstanceError) as err:
@@ -491,6 +506,14 @@ def test_validate_reports_malformed_endpoints():
         "duplicate vertex ids",
         "vertex entry '1': not a (vertex id, signature name) pair",
         "vertex 1: unknown signature 'm'"]
+    # the entry-by-entry pass keeps a field's error first
+    inst = Instance(None, (("1", "n"), "1", ("1", "n")), ())
+    assert validate(inst)[0] == [
+        "signatures: not a mapping of names to signatures (got NoneType)",
+        "duplicate vertex ids",
+        "vertex 1: unknown signature 'n'",
+        "vertex entry '1': not a (vertex id, signature name) pair",
+        "vertex 1: unknown signature 'n'"]
 
 
 ATOMS = st.one_of(st.integers(-1, 3), st.booleans(), st.none(),
