@@ -28,29 +28,66 @@ tools (McKay and Piperno, *Practical graph isomorphism, II*):
 of one search, whatever the arity, and the search raises ``BudgetExceeded``
 past it.  The last 2^16 forms are kept, and a kept form is returned without
 a search.
+
+Kernels of kind Hadamard skip the search after the first of their shape.
+By the paper's characterization of the base level, such a kernel is the
+m-multiple of a balanced Hadamard code of length 2^k and polarity t, up to
+column order (``classes._structure`` checks this), so all kernels of one
+shape (t, k, m) are column permutations of each other and share one form.
+``canonical_form`` keeps the first kernel it is given of each shape, for the
+last ``SHAPES_KEPT`` new shapes, as that shape's representative, searched as
+given, and gives every later kernel of the shape the representative's kept
+form for the cost of the shape test (``classes._hadamard_shape``).  It keeps
+no form of its own: clearing ``_canonicalize``'s cache resets every form.
+Trivial kernels (support 3) are not unique up to column order, and they and
+every other signature are searched as given.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .classes import _hadamard_shape
 from .errors import BudgetExceeded
 from .signatures import Signature, column_masks, permute_columns
 
 NODE_BUDGET = 500_000
+SHAPES_KEPT = 1 << 10
+
+# Hadamard shape -> the first kernel of that shape given; the oldest goes first
+_representatives: dict = {}
 
 
 def canonical_form(f: Signature) -> Signature:
     """Canonical representative; equal for f, g iff they differ by a variable
-    permutation."""
+    permutation.
+
+    A kernel of kind Hadamard is searched through the representative of
+    its shape (polarity, k, m), the first kernel of that shape given: by
+    the paper's characterization of the base level, all kernels of one
+    shape are column permutations of each other.  Every other signature is
+    searched as given."""
     if f.arity == 0 or not f.rows:
         return f
+    shape = _hadamard_shape(f)
+    if shape is not None:
+        f = _representatives.setdefault(shape, f)
+        if len(_representatives) > SHAPES_KEPT:
+            del _representatives[next(iter(_representatives))]
     return _canonicalize(f)
 
 
 def permutation_equivalent(f: Signature, g: Signature) -> bool:
+    """Whether f and g differ by a variable permutation.  When either is a
+    kernel of kind Hadamard, the answer is whether their shapes are equal,
+    read without a search: the shape is invariant under column permutation
+    and fixes the kernel up to it."""
     if f.arity != g.arity or len(f.rows) != len(g.rows):
         return False
+    shape = _hadamard_shape(f)
+    other = _hadamard_shape(g)
+    if shape is not None or other is not None:
+        return shape == other
     return canonical_form(f) == canonical_form(g)
 
 

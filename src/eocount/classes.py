@@ -311,6 +311,29 @@ def _structure(f: Signature, t: int, own: int, hull: tuple) -> KernelStructure:
     )
 
 
+def _hadamard_shape(f: Signature) -> tuple | None:
+    """(polarity, k, m) when f is a kernel of kind HADAMARD, else None.
+
+    Such a kernel is, up to column order, the m-multiple of the balanced
+    polarity-Hadamard code of length 2^k (see _structure), so two labels of
+    one shape are column permutations of each other, and the shape is
+    invariant under column permutation.  A row count other than 2^k - 1,
+    k >= 3, or an arity that 2^k does not divide, is refused before any
+    scan; that also leaves out the trivial kernels (support 3), which are
+    not unique up to permutation."""
+    n = len(f.rows) + 1
+    if n < 8 or n & (n - 1) or f.arity % n or not is_eo(f):
+        return None
+    t, own, hull = _kernel_polarity(f)
+    if t is None:
+        return None
+    try:
+        info = _structure(f, t, own, hull)
+    except StructureViolation:
+        return None
+    return info.polarity, info.k, info.m
+
+
 def classify(f: Signature) -> ClassReport:
     """Aggregate class membership report; non-EO inputs get all flags off."""
     if not is_eo(f):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eocount import Signature, canonical, canonical_form, permutation_equivalent, tensor
+from eocount import (
+    NEQ2, Signature, canonical, canonical_form, classes, permutation_equivalent, tensor,
+)
 from eocount.errors import BudgetExceeded
 from eocount.hadamard import Polarity, balanced_code, basic_kernel, butterfly, wings
 from eocount.signatures import DELTA0, DELTA1, m_multiple
@@ -130,7 +132,10 @@ def supports_with_twins(draw):
 
 
 def fresh_form(f: Signature) -> Signature:
+    """canonical_form with no kept form and no kept representative, so a
+    kernel is searched as given."""
     canonical._canonicalize.cache_clear()
+    canonical._representatives.clear()
     return canonical_form(f)
 
 
@@ -151,10 +156,9 @@ def test_node_budget_is_enforced(monkeypatch):
     perm = list(range(32))
     random.Random(3).shuffle(perm)
     g = permute_columns(basic_kernel(5), perm)
-    canonical._canonicalize.cache_clear()
     monkeypatch.setattr(canonical, "NODE_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        canonical_form(g)
+        fresh_form(g)
     assert canonical._canonicalize.cache_info().currsize == 0
     # a search that keys its way down to every leaf takes over 2,000 nodes
     monkeypatch.setattr(canonical, "NODE_BUDGET", 1000)
@@ -172,6 +176,90 @@ def test_search_tree_size_is_pinned(monkeypatch, k, nodes):
     monkeypatch.setattr(canonical, "NODE_BUDGET", nodes - 1)
     canonical._canonicalize.cache_clear()
     with pytest.raises(BudgetExceeded):
-        canonical_form(g)
+        canonical._canonicalize(g)
     monkeypatch.setattr(canonical, "NODE_BUDGET", nodes)
-    assert fresh_form(g) == ref_canonical(g)
+    canonical._canonicalize.cache_clear()
+    assert canonical._canonicalize(g) == ref_canonical(g)
+
+
+def shuffled(f: Signature, seed) -> Signature:
+    perm = list(range(f.arity))
+    random.Random(seed).shuffle(perm)
+    return permute_columns(f, perm)
+
+
+@pytest.mark.parametrize("pol", list(Polarity))
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_route_by_shape_matches_the_search(pol, k):
+    # every kernel of one shape is given its representative's form, which
+    # must be the form the search finds on the kernel itself
+    for m in (1, 2, 3):
+        f = m_multiple(balanced_code(k, pol), m)
+        for seed in range(3):
+            g = shuffled(f, f"{pol.value}/{k}/{m}/{seed}")
+            assert classes._hadamard_shape(g) == (pol, k, m)
+            form = canonical_form(g)
+            assert form == canonical._canonicalize(g)
+            if g.arity <= 32:
+                assert form == ref_canonical(g)
+
+
+def test_route_by_shape_matches_the_search_at_arity_64():
+    first, second = (shuffled(basic_kernel(6), seed) for seed in (64, 65))
+    canonical._representatives.clear()
+    canonical_form(first)
+    assert canonical_form(second) == canonical._canonicalize(second)
+
+
+@pytest.mark.parametrize("f", [
+    m_multiple(basic_kernel(2), 3),  # the trivial kernel: support 3
+    tensor(NEQ2, basic_kernel(3)),
+    # seven-row EO supports of arity 8 that are no kernel
+    Signature._packed(8, basic_kernel(3).rows - {0b00001111} | {0b11110000}),
+    Signature._packed(8, frozenset(
+        random.Random(8).sample([r for r in range(256) if r.bit_count() == 4], 7))),
+])
+def test_labels_of_no_hadamard_shape_take_the_search(f):
+    assert classes._hadamard_shape(f) is None
+    canonical._canonicalize.cache_clear()
+    copies = {shuffled(f, seed) for seed in range(3)}
+    for g in copies:
+        assert canonical_form(g) == ref_canonical(g)
+    assert canonical._canonicalize.cache_info().misses == len(copies)
+
+
+def test_one_search_per_shape():
+    f = m_multiple(basic_kernel(4), 2)
+    canonical._canonicalize.cache_clear()
+    forms = {canonical_form(shuffled(f, seed)) for seed in range(5)}
+    assert forms == {ref_canonical(f)}
+    assert canonical._canonicalize.cache_info().misses == 1
+
+
+def test_representatives_stay_bounded(monkeypatch):
+    monkeypatch.setattr(canonical, "SHAPES_KEPT", 2)
+    canonical._representatives.clear()
+    for pol in Polarity:
+        for k in (3, 4):
+            g = shuffled(balanced_code(k, pol), k)
+            assert canonical_form(g) == ref_canonical(g)
+            assert len(canonical._representatives) <= 2
+    assert list(canonical._representatives) == [(Polarity.ZERO, 3, 1),
+                                                (Polarity.ZERO, 4, 1)]
+
+
+def test_permutation_equivalent_reads_hadamard_shapes(monkeypatch):
+    def no_search(f):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(canonical, "_canonicalize", no_search)
+    f = m_multiple(basic_kernel(4), 2)
+    assert permutation_equivalent(shuffled(f, 1), shuffled(f, 2))
+    one, zero = balanced_code(4, Polarity.ONE), balanced_code(4, Polarity.ZERO)
+    assert (one.arity, len(one.rows)) == (zero.arity, len(zero.rows))
+    assert not permutation_equivalent(one, zero)
+    assert not permutation_equivalent(zero, shuffled(one, 3))
+    # one side a kernel, the other of the same size but no kernel
+    other = Signature._packed(16, frozenset(sorted(r for r in range(1 << 16)
+                                                   if r.bit_count() == 8)[:15]))
+    assert not permutation_equivalent(one, other)

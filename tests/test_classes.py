@@ -166,6 +166,24 @@ def test_kernel_structure_rejects_non_kernel():
         kernel_structure(NEQ2)
 
 
+def test_hadamard_shape_is_the_kernel_structure_of_kind_hadamard():
+    rng = random.Random(31)
+    labels = [F2, G2, NEQ2, m_multiple(basic_kernel(2), 3), butterfly(3),
+              tensor(NEQ2, basic_kernel(3)), random_affine_eo(rng, 8),
+              Signature._packed(8, frozenset(rng.sample(range(256), 7))),
+              *(m_multiple(balanced_code(k, pol), m)
+                for k in (1, 2, 3, 4, 5) for m in (1, 2, 3) for pol in Polarity),
+              *(w for k in (3, 4) for w in wings(k))]
+    for f in labels:
+        perm = list(range(f.arity))
+        rng.shuffle(perm)
+        g = permute_columns(f, perm)
+        info = classify(g).kernel_info
+        want = (None if info is None or info.kind is KernelKind.TRIVIAL
+                else (info.polarity, info.k, info.m))
+        assert classes._hadamard_shape(g) == want
+
+
 def test_is_balanced_hadamard():
     for k in (2, 3, 4, 5):
         assert is_balanced_hadamard(balanced_code(k, Polarity.ONE), Polarity.ONE) == k
