@@ -240,7 +240,9 @@ def is_balanced_hadamard(f: Signature, polarity: Polarity = Polarity.ONE):
 
 def kernel_structure(f: Signature) -> KernelStructure:
     """Structural decomposition of a kernel per the characterization:
-    trivial (support 3) or an m-multiple of a balanced Hadamard code."""
+    trivial (support 3) or an m-multiple of a balanced Hadamard code, read
+    off the kernel test's hull (see _structure, _shape and
+    is_balanced_hadamard)."""
     _require_eo(f)
     t, own, hull = _kernel_polarity(f)
     if t is None:
@@ -248,99 +250,109 @@ def kernel_structure(f: Signature) -> KernelStructure:
     return _structure(f, t, own, hull)
 
 
-def _structure(f: Signature, t: int, own: int, hull: tuple) -> KernelStructure:
-    """kernel_structure for a delta_t kernel whose constant-t columns (the
-    mask own) and rows' affine._hull the kernel test already found; the
-    result groups the identical columns, keeps the first of each group in
-    the base, and has is_balanced_hadamard's k of that base.
+def _shape(f: Signature, t: int, hull: tuple) -> tuple | None:
+    """(k, m) for a delta_t kernel f of EO rows, more than 3 of them, whose
+    rows' affine._hull is hull, when the hull's one missing point is the
+    all-t word; else None.
 
-    Two columns are equal on the rows exactly when they are equal on the
-    hull (their sum is affine, and an affine function that vanishes on a
-    set vanishes on its affine hull), so the columns group by their bits in
-    the hull's base and basis vectors, and the grouping is one-to-one on
-    the hull.  The base, one column per group, is a balanced Hadamard code
-    of length nb = 2^k, k >= 2, exactly when the groups are of one size, it
-    has nb - 1 rows and the hull's one missing point is the all-t word:
-    the rows with that word are then a linear code (translated by the word)
-    of dimension k whose 2^k distinct columns are all its linear
-    functionals, and conversely a coset of dimension k >= 2 less one point
-    spans the coset."""
-    polarity = Polarity.ONE if t else Polarity.ZERO
-    if len(f.rows) == 3:
-        return KernelStructure(
-            polarity,
-            KernelKind.TRIVIAL,
-            None,
-            own.bit_count(),
-            f,
-            tuple((i,) for i in range(1, f.arity + 1)),
-        )
-    n = f.arity
-    origin, basis, missing = hull
-    if missing is None:
-        raise StructureViolation("kernel base is not a balanced Hadamard code")
+    The rows and the word are then a coset of nb = |rows| + 1 points, and
+    translated by the word they are a linear code whose nonzero words (the
+    rows or their complements) all have weight n/2.  The Walsh argument of
+    is_balanced_hadamard gives each of its nb linear functionals exactly
+    m = n / nb columns (in general, Bonisoli's theorem: a linear code of one
+    nonzero weight is a replicated simplex code), so f is the m-multiple of
+    the balanced polarity-t Hadamard code of length nb = 2^k, up to column
+    order; k >= 3, as up to 2 rows are affine and 3 are the trivial case."""
+    word = (1 << f.arity) - 1 if t else 0
+    if hull[2] != {word}:
+        return None
+    nb = len(f.rows) + 1
+    return nb.bit_length() - 1, f.arity // nb
+
+
+def _column_groups(n: int, vectors) -> tuple:
+    """Columns 1..n grouped by their bits in the ints vectors, each group
+    ascending and the groups in the order of their first members."""
     by_column: dict = {}
-    bits = (format(v, f"0{n}b")[::-1] for v in (origin, *basis))
+    bits = (format(v, f"0{n}b")[::-1] for v in vectors)
     for i, col in enumerate(zip(*bits), 1):
         by_column.setdefault(col, []).append(i)
-    nb = len(by_column)
-    m = n // nb
-    word = (1 << n) - 1 if t else 0
-    if (
-        nb & (nb - 1)
-        or len(f.rows) != nb - 1
-        or missing != {word}
-        or any(len(g) != m for g in by_column.values())
-    ):
+    return tuple(map(tuple, by_column.values()))
+
+
+def _structure(f: Signature, t: int, own: int, hull: tuple) -> KernelStructure:
+    """kernel_structure for a delta_t kernel f, whose rows are EO, whose
+    constant-t columns (the mask own) and rows' affine._hull the kernel test
+    already found.  A trivial kernel (3 rows) has m the count of own; any
+    other is the m-multiple of a balanced Hadamard code exactly when the
+    hull's one missing point is the all-t word, and k and m follow from
+    the row count and the arity (see _shape and is_balanced_hadamard).
+
+    When m = 1 every column is its own group and the base is f, so no
+    column is read.  Otherwise the columns are grouped, and the base keeps
+    the first of each group: two columns are equal on the rows exactly
+    when they are equal on the hull (their sum is affine, and an affine
+    function that vanishes on a set vanishes on its affine hull), so they
+    group by their bits in the hull's base and basis vectors, k + 1 ints."""
+    polarity = Polarity.ONE if t else Polarity.ZERO
+    n = f.arity
+    if len(f.rows) == 3:
+        return KernelStructure(polarity, KernelKind.TRIVIAL, None, own.bit_count(), f,
+                               tuple(zip(range(1, n + 1))))
+    shape = _shape(f, t, hull)
+    if shape is None:
         raise StructureViolation("kernel base is not a balanced Hadamard code")
-    base = f
-    if m > 1:
-        # first members ascend, so the base keeps them in group order; the
-        # rows are the hull less the word, so only its k + 1 ints compress
-        keep = sum(1 << (g[0] - 1) for g in by_column.values())
-        origin, *basis = _compress((origin, *basis), keep)
-        code = frozenset(_coset(origin, basis))
-        base = Signature._packed(nb, code - {word & ((1 << nb) - 1)})
-    return KernelStructure(
-        polarity,
-        KernelKind.HADAMARD,
-        nb.bit_length() - 1,
-        m,
-        base,
-        tuple(tuple(g) for g in by_column.values()),
-    )
+    k, m = shape
+    if m == 1:
+        return KernelStructure(polarity, KernelKind.HADAMARD, k, 1, f,
+                               tuple(zip(range(1, n + 1))))
+    origin, basis, _ = hull
+    groups = _column_groups(n, (origin, *basis))
+    # first members ascend, so the base keeps them in group order; the rows
+    # are the hull less the word, so only its k + 1 ints compress
+    keep = sum(1 << (g[0] - 1) for g in groups)
+    origin, *basis = _compress((origin, *basis), keep)
+    nb = 1 << k
+    code = frozenset(_coset(origin, basis))
+    base = Signature._packed(nb, code - {((1 << nb) - 1) * t})
+    return KernelStructure(polarity, KernelKind.HADAMARD, k, m, base, groups)
 
 
 def _hadamard_shape(f: Signature) -> tuple | None:
     """(polarity, k, m) when f is a kernel of kind HADAMARD, else None.
 
     Such a kernel is, up to column order, the m-multiple of the balanced
-    polarity-Hadamard code of length 2^k (see _structure), so two labels of
-    one shape are column permutations of each other, and the shape is
-    invariant under column permutation.  A row count other than 2^k - 1,
+    polarity-Hadamard code of length 2^k (see _shape and
+    is_balanced_hadamard), so two labels of one shape are column
+    permutations of each other, and the shape is invariant under column
+    permutation.  A row count other than 2^k - 1,
     k >= 3, or an arity that 2^k does not divide, is refused before any
     scan; that also leaves out the trivial kernels (support 3), which are
-    not unique up to permutation."""
+    not unique up to permutation.  The shape is read off the kernel test's
+    hull; no column is grouped and no base is built."""
     n = len(f.rows) + 1
     if n < 8 or n & (n - 1) or f.arity % n or not is_eo(f):
         return None
-    t, own, hull = _kernel_polarity(f)
-    if t is None:
+    t, _, hull = _kernel_polarity(f)
+    if t is None or (shape := _shape(f, t, hull)) is None:
         return None
-    try:
-        info = _structure(f, t, own, hull)
-    except StructureViolation:
-        return None
-    return info.polarity, info.k, info.m
+    return (Polarity.ONE if t else Polarity.ZERO, *shape)
 
 
 def classify(f: Signature) -> ClassReport:
-    """Aggregate class membership report; non-EO inputs get all flags off."""
+    """Aggregate class membership report; non-EO inputs get all flags off.
+
+    The kernel test runs first.  A delta_t kernel is not affine (its rows
+    are not their hull), is delta_t-affine (the class recursion's top level
+    finds the same hull and no _open_pins) and is not delta_(1-t)-affine (it
+    has no constant-(1 - t) column), so only a label that is no kernel goes
+    through is_affine and the class recursion.  A kernel's structure is
+    read off the test's hull (see _shape and is_balanced_hadamard)."""
     if not is_eo(f):
         return ClassReport(False, False, False, False, False, False)
-    aff = is_affine(f)
-    d1 = _in_class(f, 1)
-    d0 = _in_class(f, 0)
     t, own, hull = _kernel_polarity(f)
-    info = None if t is None else _structure(f, t, own, hull)
-    return ClassReport(True, aff, d1, d0, t == 1, t == 0, info)
+    if t is not None:
+        one = t == 1
+        return ClassReport(True, False, one, not one, one, not one,
+                           _structure(f, t, own, hull))
+    return ClassReport(True, is_affine(f), _in_class(f, 1), _in_class(f, 0), False, False)

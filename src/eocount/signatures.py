@@ -201,8 +201,7 @@ def is_eo(f: Signature) -> bool:
     """True iff arity is even and every support row has weight arity/2."""
     if f.arity % 2:
         return False
-    half = f.arity // 2
-    return all(r.bit_count() == half for r in f.rows)
+    return {f.arity // 2}.issuperset(map(int.bit_count, f.rows))
 
 
 def pin(f: Signature, i: int, b: int) -> Signature:

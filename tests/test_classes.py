@@ -539,3 +539,49 @@ def test_kernel_structure_reads_the_definition_off_the_hull():
                 info.column_grouping) == want
         assert calls == {"_pivots": 1}
 
+
+def _raise(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def _permuted_kernels(seed: int, labels) -> list:
+    rng = random.Random(seed)
+    out = []
+    for f in labels:
+        perm = list(range(f.arity))
+        rng.shuffle(perm)
+        out.append(permute_columns(f, perm))
+    return out
+
+
+def test_classify_settles_kernels_without_the_class_recursion(monkeypatch):
+    labels = [f for *_, f in KERNEL_FAMILIES]
+    labels += [g for k in range(3, 6) for g in wings(k)]
+    for g in _permuted_kernels(20, labels):
+        classes._in_class.cache_clear()
+        want = (affine.is_affine(g), in_d1(g), in_d0(g))
+        with monkeypatch.context() as mp:
+            mp.setattr(classes, "_in_class", _raise)
+            rep = classify(g)
+        assert (rep.is_affine, rep.in_d1, rep.in_d0) == want
+        assert rep.kernel_info is not None
+
+
+def test_hadamard_shape_builds_no_structure(monkeypatch):
+    monkeypatch.setattr(classes, "_structure", _raise)
+    members = [member for member in KERNEL_FAMILIES if member[0] >= 3]
+    copies = _permuted_kernels(21, [f for *_, f in members])
+    for (k, polarity, m, _), g in zip(members, copies):
+        assert classes._hadamard_shape(g) == (polarity, k, m)
+
+
+def test_kernel_structure_groups_no_column_when_m_is_1(monkeypatch):
+    monkeypatch.setattr(classes, "_column_groups", _raise)
+    labels = [f for k, _, m, f in KERNEL_FAMILIES if k >= 3 and m == 1]
+    assert max(f.arity for f in labels) == 64
+    for g in _permuted_kernels(22, labels):
+        info = kernel_structure(g)
+        base, m, groups = ref_multiple_decompose(g.arity, g.support)
+        assert (info.m, info.base, info.column_grouping) == (
+            m, Signature(*base), tuple(tuple(grp) for grp in groups))
+
